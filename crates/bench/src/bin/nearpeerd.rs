@@ -7,7 +7,9 @@
 //! world is the synthetic landmark layout (`--landmarks N` routers, all
 //! 4 hops apart), matching what `wire_loadgen` mirrors locally.
 //!
-//! Transport rules (see [`nearpeer_bench::wire::serve_connection`]):
+//! Transport rules (see [`nearpeer_bench::wire::serve_connection`]; the
+//! accept loop is [`nearpeer_bench::wire::Acceptor`], which joins exited
+//! connection threads as it accepts new ones):
 //! partial reads reassemble; a malformed frame is skipped (the codec
 //! consumed it); an oversized length prefix drops the connection; idle
 //! eviction counts byte progress, not completed frames; standing
@@ -16,7 +18,7 @@
 //! accepting, drains every open connection (granting in-flight partial
 //! frames a bounded grace) and exits.
 
-use nearpeer_bench::wire::{build_service, serve_connection};
+use nearpeer_bench::wire::{build_service, Acceptor};
 use nearpeer_core::ServerConfig;
 use std::io::{self, Write};
 use std::net::TcpListener;
@@ -143,7 +145,16 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let local = listener.local_addr().expect("bound socket has an address");
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let idle = (args.idle_secs > 0).then(|| Duration::from_secs(args.idle_secs));
+    let acceptor = match Acceptor::new(listener, service, Arc::clone(&shutdown), idle) {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("nearpeerd: cannot read the bound address: {e}");
+            std::process::exit(1);
+        }
+    };
+    let local = acceptor.local_addr();
     // The readiness line scripts wait for (stdout, flushed).
     println!(
         "nearpeerd listening on {local} landmarks={} regions={} k={}",
@@ -151,7 +162,6 @@ fn main() {
     );
     io::stdout().flush().ok();
 
-    let shutdown = Arc::new(AtomicBool::new(false));
     if args.stats_every > 0 {
         if let Some(reg) = telemetry {
             let shutdown = Arc::clone(&shutdown);
@@ -174,27 +184,9 @@ fn main() {
             });
         }
     }
-    let mut handles = Vec::new();
-    for stream in listener.incoming() {
-        if shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        let stream = match stream {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        let service = Arc::clone(&service);
-        let shutdown = Arc::clone(&shutdown);
-        let idle = (args.idle_secs > 0).then(|| Duration::from_secs(args.idle_secs));
-        handles.push(std::thread::spawn(move || {
-            serve_connection(stream, service, shutdown, local, idle)
-        }));
-    }
-    // Drain: every live connection loop notices the flag within its read
-    // timeout and exits; queued writes finish because the actors' drop
-    // path joins their workers after the mailboxes disconnect.
-    for handle in handles {
-        let _ = handle.join();
-    }
+    // Drain on shutdown: every live connection loop notices the flag
+    // within its read timeout and exits; queued writes finish because the
+    // actors' drop path joins their workers after the mailboxes disconnect.
+    acceptor.run();
     eprintln!("nearpeerd: drained, exiting");
 }

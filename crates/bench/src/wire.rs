@@ -1,4 +1,7 @@
-//! Shared plumbing for the wire binaries (`nearpeerd`, `wire_loadgen`).
+//! Shared plumbing for the wire binaries (`nearpeerd`, `wire_loadgen`):
+//! the daemon's accept loop ([`Acceptor`]) and per-connection serve loop
+//! ([`serve_connection`]), frame reassembly, and the world both sides
+//! rebuild.
 //!
 //! Both sides of the socket rebuild the same deterministic world from
 //! `(n_landmarks, regions)` — the [`SyntheticJoins`] landmark layout
@@ -18,9 +21,10 @@ use nearpeer_core::{
 use nearpeer_topology::RouterId;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// The synthetic landmark layout shared by server and load generator:
@@ -245,6 +249,98 @@ impl FrameConn {
     /// Whether the receive buffer holds a partially reassembled frame.
     pub fn has_partial_frame(&self) -> bool {
         !self.buf.is_empty()
+    }
+}
+
+/// The daemon's accept loop: one thread per connection running
+/// [`serve_connection`]. Threads that have finished are **joined on every
+/// accept**, so a long-lived daemon under connection churn holds one
+/// handle per live connection rather than one (plus its exited thread's
+/// bookkeeping) per connection it ever accepted.
+pub struct Acceptor {
+    listener: TcpListener,
+    local: SocketAddr,
+    service: Arc<dyn WireService>,
+    shutdown: Arc<AtomicBool>,
+    idle_deadline: Option<Duration>,
+    handles: Vec<JoinHandle<()>>,
+}
+
+impl Acceptor {
+    /// An accept loop over `listener`, serving `service`. A `Shutdown`
+    /// frame on any connection sets `shutdown` and wakes the accept.
+    pub fn new(
+        listener: TcpListener,
+        service: Arc<dyn WireService>,
+        shutdown: Arc<AtomicBool>,
+        idle_deadline: Option<Duration>,
+    ) -> io::Result<Self> {
+        Ok(Self {
+            local: listener.local_addr()?,
+            listener,
+            service,
+            shutdown,
+            idle_deadline,
+            handles: Vec::new(),
+        })
+    }
+
+    /// The address the listener is bound to.
+    pub fn local_addr(&self) -> SocketAddr {
+        self.local
+    }
+
+    /// Waits for the next connection, reaps finished serve threads and
+    /// spawns the new connection's. Returns `false`, accepting nothing,
+    /// once shutdown has been requested.
+    pub fn accept_one(&mut self) -> bool {
+        if self.shutdown.load(Ordering::Acquire) {
+            return false;
+        }
+        let accepted = self.listener.accept();
+        if self.shutdown.load(Ordering::Acquire) {
+            return false;
+        }
+        self.reap();
+        if let Ok((stream, _)) = accepted {
+            let service = Arc::clone(&self.service);
+            let shutdown = Arc::clone(&self.shutdown);
+            let (local, idle) = (self.local, self.idle_deadline);
+            self.handles.push(std::thread::spawn(move || {
+                serve_connection(stream, service, shutdown, local, idle)
+            }));
+        }
+        true
+    }
+
+    /// Serve-thread handles currently held: live connections plus any
+    /// that finished since the last accept.
+    pub fn held(&self) -> usize {
+        self.handles.len()
+    }
+
+    /// Serve threads still running.
+    pub fn live(&self) -> usize {
+        self.handles.iter().filter(|h| !h.is_finished()).count()
+    }
+
+    fn reap(&mut self) {
+        let (finished, live): (Vec<_>, Vec<_>) = std::mem::take(&mut self.handles)
+            .into_iter()
+            .partition(|h| h.is_finished());
+        self.handles = live;
+        for handle in finished {
+            let _ = handle.join();
+        }
+    }
+
+    /// Accepts until shutdown, then drains: every live connection loop
+    /// notices the flag within its read timeout and exits.
+    pub fn run(mut self) {
+        while self.accept_one() {}
+        for handle in self.handles {
+            let _ = handle.join();
+        }
     }
 }
 
@@ -555,6 +651,46 @@ mod tests {
         });
         let conn = FrameConn::connect(addr).unwrap();
         (conn, shutdown, handle)
+    }
+
+    #[test]
+    fn accept_loop_reaps_finished_connection_threads() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let service = build_service(2, 1, ServerConfig::default()).unwrap();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let mut acceptor = Acceptor::new(listener, service, Arc::clone(&shutdown), None).unwrap();
+        let addr = acceptor.local_addr();
+        for nonce in 0..200u64 {
+            let mut conn = FrameConn::connect(addr).unwrap();
+            assert!(acceptor.accept_one());
+            // Every earlier connection has closed and its thread exited,
+            // so the accept reaped it: one handle per live connection.
+            assert_eq!(acceptor.held(), 1, "connection {nonce}");
+            conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            conn.send(&Message::ProbePing { nonce }).unwrap();
+            assert_eq!(conn.recv().unwrap(), Some(Message::ProbePong { nonce }));
+            drop(conn);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while acceptor.live() > 0 {
+                assert!(
+                    Instant::now() < deadline,
+                    "serve thread outlived its connection"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        // A Shutdown frame stops the loop: acked, then the accept wakes.
+        let mut conn = FrameConn::connect(addr).unwrap();
+        assert!(acceptor.accept_one());
+        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        conn.send(&Message::Shutdown { nonce: 1 }).unwrap();
+        assert!(matches!(
+            conn.recv().unwrap(),
+            Some(Message::ProbePong { .. })
+        ));
+        assert!(!acceptor.accept_one());
+        assert!(shutdown.load(Ordering::Acquire));
+        acceptor.run();
     }
 
     #[test]

@@ -91,19 +91,162 @@ impl FederationSweep {
     }
 }
 
-/// A [`Federation`] taken apart for the actorized runtime: the routing
-/// metadata the front door keeps, plus the per-region servers that move
-/// behind worker threads (crate-internal).
-pub(crate) struct RuntimeParts {
+/// The cross-region routing tables and consult policy both federation
+/// front doors share: [`Federation`] keeps one beside its regions, the
+/// actorized [`crate::runtime::ActorFederation`] one in front of its
+/// region locks. The federated merge ([`Self::closest`]) exists only
+/// here, so the two front doors answer identically by construction.
+#[derive(Debug)]
+pub(crate) struct Routing {
     pub landmark_routers: Vec<RouterId>,
     pub landmark_dist: Vec<Vec<u32>>,
+    /// Global landmark index → owning region.
     pub landmark_region: Vec<RegionId>,
+    /// Landmark router → global landmark index.
     pub router_landmark: HashMap<RouterId, u32>,
+    /// Region × region bridge matrix: the minimum landmark-to-landmark
+    /// hop distance across the pair (`u32::MAX` = no measured bridge).
     pub bridge: Vec<Vec<u32>>,
     pub fanout: Option<usize>,
     pub fallback: bool,
     pub neighbor_count: usize,
-    pub servers: Vec<ManagementServer>,
+}
+
+impl Routing {
+    /// The home `(region, global landmark)` of a path, by its terminal
+    /// router.
+    pub fn home_of_path(&self, path: &PeerPath) -> Result<(RegionId, u32), CoreError> {
+        self.router_landmark
+            .get(&path.landmark_router())
+            .map(|&g| (self.landmark_region[g as usize], g))
+            .ok_or_else(|| {
+                CoreError::UnknownLandmark(format!(
+                    "path terminates at {} which is no federation landmark",
+                    path.landmark_router()
+                ))
+            })
+    }
+
+    /// The regions a query consults, among those `live` admits: the home
+    /// region first, then foreign regions ascending by `(bridge, id)`,
+    /// bounded by the configured fanout. A path with no home landmark
+    /// consults every live region (exact answers only). A crashed home
+    /// degrades to full fan-out over every live region — the best answer
+    /// available until the region rejoins.
+    pub fn consulted(
+        &self,
+        home: Option<RegionId>,
+        live: impl Fn(RegionId) -> bool,
+    ) -> Vec<RegionId> {
+        let regions = (0..self.bridge.len() as u32).map(RegionId);
+        let Some(home) = home else {
+            return regions.filter(|&r| live(r)).collect();
+        };
+        let mut foreign: Vec<RegionId> = regions.filter(|&r| r != home && live(r)).collect();
+        foreign.sort_unstable_by_key(|&r| (self.bridge[home.index()][r.index()], r.0));
+        if !live(home) {
+            return foreign;
+        }
+        let take = self.fanout.unwrap_or(foreign.len()).min(foreign.len());
+        let mut out = Vec::with_capacity(take + 1);
+        out.push(home);
+        out.extend(foreign.into_iter().take(take));
+        out
+    }
+
+    /// The federated merge over the consulted regions' servers
+    /// (`servers[r]` is `Some` exactly for the consulted regions). Exact
+    /// candidates (peers sharing a router with the query path) merge by
+    /// `(dtree, peer)` from every consulted region; if the list stays
+    /// short, the fallback is enabled and the path has a home landmark
+    /// (`home_landmark`), it is topped up with **cross-region bridge
+    /// fills** ranked by `depth(query) + hops(L_query, L_other) +
+    /// depth(peer)` over the global landmark distance matrix. Returns the
+    /// answer and how many of its entries are bridge fills.
+    pub fn closest(
+        &self,
+        servers: &[Option<&ManagementServer>],
+        path: &PeerPath,
+        k: usize,
+        exclude: Option<PeerId>,
+        home_landmark: Option<u32>,
+    ) -> (Vec<Neighbor>, usize) {
+        let excl: HashSet<PeerId> = exclude.into_iter().collect();
+        let mut result: Vec<Neighbor> = Vec::with_capacity(k.saturating_mul(2));
+        // A peer is live in one region only, so the key is unique and the
+        // merge does not depend on the order regions are visited in.
+        for server in servers.iter().flatten() {
+            result.extend(server.index().query_nearest(path, k, &excl));
+        }
+        result.sort_unstable_by_key(|n| (n.dtree, n.peer));
+        result.truncate(k);
+        let mut fills = 0;
+        if result.len() < k && self.fallback {
+            if let Some(own_global) = home_landmark {
+                let missing = k - result.len();
+                let have: HashSet<PeerId> = result.iter().map(|n| n.peer).collect();
+                let fill = self.bridge_fill(servers, path, own_global, missing, &excl, &have);
+                fills = fill.len();
+                result.extend(fill);
+            }
+        }
+        (result, fills)
+    }
+
+    /// Cross-region fill: one ordered cursor per foreign landmark in a
+    /// consulted region (`region(L).peers_through(L's router)`, ascending
+    /// by depth below the landmark), k-way merged by the bridge estimate.
+    /// Mirrors the single server's cross-landmark fill with the global
+    /// distance matrix supplying the bridges.
+    fn bridge_fill(
+        &self,
+        servers: &[Option<&ManagementServer>],
+        path: &PeerPath,
+        own_global: u32,
+        k: usize,
+        exclude: &HashSet<PeerId>,
+        already: &HashSet<PeerId>,
+    ) -> Vec<Neighbor> {
+        let query_depth = path.depth();
+        type Cursor<'a> = (u32, Box<dyn Iterator<Item = (PeerId, u32)> + 'a>);
+        let mut heap: BinaryHeap<std::cmp::Reverse<(u32, PeerId, usize)>> = BinaryHeap::new();
+        let mut iters: Vec<Cursor<'_>> = Vec::new();
+        for (li, &lrouter) in self.landmark_routers.iter().enumerate() {
+            if li as u32 == own_global {
+                continue;
+            }
+            let Some(server) = servers[self.landmark_region[li].index()] else {
+                continue;
+            };
+            let bridge = self.landmark_dist[own_global as usize][li];
+            if bridge == u32::MAX {
+                continue;
+            }
+            let base = query_depth + bridge;
+            let mut iter = server.index().peers_through(lrouter);
+            if let Some((peer, depth)) = iter.next() {
+                let idx = iters.len();
+                heap.push(std::cmp::Reverse((base + depth, peer, idx)));
+                iters.push((base, Box::new(iter)));
+            }
+        }
+        let mut out = Vec::with_capacity(k);
+        let mut emitted: HashSet<PeerId> = HashSet::new();
+        while let Some(std::cmp::Reverse((est, peer, idx))) = heap.pop() {
+            let (base, iter) = &mut iters[idx];
+            if let Some((next_peer, depth)) = iter.next() {
+                heap.push(std::cmp::Reverse((*base + depth, next_peer, idx)));
+            }
+            if exclude.contains(&peer) || already.contains(&peer) || !emitted.insert(peer) {
+                continue;
+            }
+            out.push(Neighbor { peer, dtree: est });
+            if out.len() == k {
+                break;
+            }
+        }
+        out
+    }
 }
 
 /// Read-path counters (interior-mutable, so federated queries stay
@@ -133,18 +276,7 @@ struct QueryCounters {
 #[derive(Debug)]
 pub struct Federation {
     regions: Vec<Region>,
-    landmark_routers: Vec<RouterId>,
-    landmark_dist: Vec<Vec<u32>>,
-    /// Global landmark index → owning region.
-    landmark_region: Vec<RegionId>,
-    /// Landmark router → global landmark index.
-    router_landmark: HashMap<RouterId, u32>,
-    /// Region × region bridge matrix: the minimum landmark-to-landmark
-    /// hop distance across the pair (`u32::MAX` = no measured bridge).
-    bridge: Vec<Vec<u32>>,
-    fanout: Option<usize>,
-    fallback: bool,
-    neighbor_count: usize,
+    routing: Routing,
     counters: QueryCounters,
     handovers: u64,
     cross_region_handovers: u64,
@@ -229,14 +361,16 @@ impl Federation {
             .collect();
         Ok(Self {
             regions,
-            landmark_routers,
-            landmark_dist,
-            landmark_region,
-            router_landmark,
-            bridge,
-            fanout: config.fanout,
-            fallback: config.server.cross_landmark_fallback,
-            neighbor_count: config.server.neighbor_count,
+            routing: Routing {
+                landmark_routers,
+                landmark_dist,
+                landmark_region,
+                router_landmark,
+                bridge,
+                fanout: config.fanout,
+                fallback: config.server.cross_landmark_fallback,
+                neighbor_count: config.server.neighbor_count,
+            },
             counters: QueryCounters::default(),
             handovers: 0,
             cross_region_handovers: 0,
@@ -319,23 +453,23 @@ impl Federation {
 
     /// The global landmark routers, indexed by global [`LandmarkId`].
     pub fn landmarks(&self) -> &[RouterId] {
-        &self.landmark_routers
+        &self.routing.landmark_routers
     }
 
     /// The global landmark distance matrix.
     pub fn landmark_distances(&self) -> &[Vec<u32>] {
-        &self.landmark_dist
+        &self.routing.landmark_dist
     }
 
     /// The region owning a global landmark.
     pub fn region_of_landmark(&self, landmark: LandmarkId) -> RegionId {
-        self.landmark_region[landmark.index()]
+        self.routing.landmark_region[landmark.index()]
     }
 
     /// The bridge distance between two regions: the minimum
     /// landmark-to-landmark hop count across the pair.
     pub fn bridge(&self, a: RegionId, b: RegionId) -> u32 {
-        self.bridge[a.index()][b.index()]
+        self.routing.bridge[a.index()][b.index()]
     }
 
     /// The federation-wide heartbeat epoch (regions advance in lockstep).
@@ -367,20 +501,6 @@ impl Federation {
             handovers: self.handovers,
             cross_region_handovers: self.cross_region_handovers,
         }
-    }
-
-    /// The home `(region, global landmark)` of a path, by its terminal
-    /// router.
-    fn home_of_path(&self, path: &PeerPath) -> Result<(RegionId, u32), CoreError> {
-        self.router_landmark
-            .get(&path.landmark_router())
-            .map(|&g| (self.landmark_region[g as usize], g))
-            .ok_or_else(|| {
-                CoreError::UnknownLandmark(format!(
-                    "path terminates at {} which is no federation landmark",
-                    path.landmark_router()
-                ))
-            })
     }
 
     /// The region a peer is currently registered in, if any.
@@ -441,7 +561,7 @@ impl Federation {
     /// consulted region, not just the home one. A peer already registered
     /// anywhere in the federation is rejected as a duplicate.
     pub fn register(&mut self, peer: PeerId, path: PeerPath) -> Result<FederatedJoin, CoreError> {
-        let (region, global) = self.home_of_path(&path)?;
+        let (region, global) = self.routing.home_of_path(&path)?;
         if self.down[region.index()] {
             return Err(CoreError::RegionUnavailable(region.0));
         }
@@ -452,7 +572,7 @@ impl Federation {
             .server_mut()
             .register_batch_renewing(vec![(peer, path)]);
         debug_assert_eq!(out.joined, 1, "validated fresh insert");
-        let k = self.neighbor_count;
+        let k = self.routing.neighbor_count;
         let stored = self.regions[region.index()]
             .server()
             .path_of(peer)
@@ -478,7 +598,7 @@ impl Federation {
         // region but must not register the peer into a second one.
         let mut pending: HashMap<PeerId, RegionId> = HashMap::new();
         for (peer, path) in batch {
-            let Ok((region, _)) = self.home_of_path(&path) else {
+            let Ok((region, _)) = self.routing.home_of_path(&path) else {
                 out.rejected += 1;
                 continue;
             };
@@ -551,7 +671,7 @@ impl Federation {
         let Some(from) = self.region_of_peer(peer) else {
             return Err(CoreError::UnknownPeer(peer));
         };
-        let (dest, global) = self.home_of_path(&new_path)?;
+        let (dest, global) = self.routing.home_of_path(&new_path)?;
         if self.down[dest.index()] {
             // Validation precedes teardown: the peer stays where it is.
             return Err(CoreError::RegionUnavailable(dest.0));
@@ -573,7 +693,7 @@ impl Federation {
             self.cross_region_handovers += 1;
         }
         self.handovers += 1;
-        let k = self.neighbor_count;
+        let k = self.routing.neighbor_count;
         let stored = self.regions[dest.index()]
             .server()
             .path_of(peer)
@@ -592,37 +712,12 @@ impl Federation {
         Ok(self.closest_to_path(path, k, Some(peer)))
     }
 
-    /// The regions a query from `home` consults: the home region first,
-    /// then foreign regions ascending by `(bridge, id)`, bounded by the
-    /// configured fanout.
-    fn query_regions(&self, home: RegionId) -> Vec<RegionId> {
-        let mut foreign: Vec<RegionId> = (0..self.regions.len() as u32)
-            .map(RegionId)
-            .filter(|&r| r != home && !self.down[r.index()])
-            .collect();
-        foreign.sort_unstable_by_key(|&r| (self.bridge(home, r), r.0));
-        if self.down[home.index()] {
-            // The home region is crashed: rather than erroring (or
-            // answering from its empty stand-in plus a capped fan-out),
-            // degrade to full fan-out over every live region — the best
-            // answer available until the region rejoins.
-            return foreign;
-        }
-        let take = self.fanout.unwrap_or(foreign.len()).min(foreign.len());
-        let mut out = Vec::with_capacity(take + 1);
-        out.push(home);
-        out.extend(foreign.into_iter().take(take));
-        out
-    }
-
     /// The closest registered peers to a query path across the consulted
-    /// regions — the federation's routing front door. Exact candidates
-    /// (peers sharing a router with the query path) merge by `(dtree,
-    /// peer)` from every consulted region; if the list stays short and
-    /// the fallback is enabled, it is topped up with **cross-region
-    /// bridge fills** ranked by
-    /// `depth(query) + hops(L_query, L_other) + depth(peer)` over the
-    /// global landmark distance matrix. With `fanout = None` this is the
+    /// regions — the federation's routing front door. The home region
+    /// answers first and the query fans out to the bridge-closest foreign
+    /// regions (crashed regions are routed around); the shared merge
+    /// ([`Routing::closest`]) ranks exact candidates and tops a short list
+    /// up with cross-region bridge fills. With `fanout = None` this is the
     /// answer one big server over all landmarks would give. `&self`, like
     /// the underlying servers' read paths.
     pub fn closest_to_path(
@@ -632,126 +727,38 @@ impl Federation {
         exclude: Option<PeerId>,
     ) -> Vec<Neighbor> {
         self.counters.queries.fetch_add(1, Ordering::Relaxed);
-        let excl: HashSet<PeerId> = exclude.into_iter().collect();
-        let home = self.home_of_path(path).ok();
-        let consulted: Vec<RegionId> = match home {
-            Some((home, _)) => self.query_regions(home),
-            // No home landmark: exact answers only, from every live region.
-            None => (0..self.regions.len() as u32)
-                .map(RegionId)
-                .filter(|&r| !self.down[r.index()])
-                .collect(),
-        };
+        let home = self.routing.home_of_path(path).ok();
+        let consulted = self
+            .routing
+            .consulted(home.map(|(r, _)| r), |r| !self.down[r.index()]);
         self.counters
             .remote
             .fetch_add(consulted.len().saturating_sub(1) as u64, Ordering::Relaxed);
-        let mut result: Vec<Neighbor> = Vec::with_capacity(k.saturating_mul(2));
-        for &r in &consulted {
-            result.extend(
-                self.regions[r.index()]
-                    .server()
-                    .index()
-                    .query_nearest(path, k, &excl),
-            );
+        let mut servers: Vec<Option<&ManagementServer>> = vec![None; self.regions.len()];
+        for r in consulted {
+            servers[r.index()] = Some(self.regions[r.index()].server());
         }
-        result.sort_unstable_by_key(|n| (n.dtree, n.peer));
-        result.truncate(k);
-        if result.len() < k && self.fallback {
-            if let Some((_, own_global)) = home {
-                let missing = k - result.len();
-                let have: HashSet<PeerId> = result.iter().map(|n| n.peer).collect();
-                let fill = self.bridge_fill(path, own_global, missing, &consulted, &excl, &have);
-                self.counters
-                    .fills
-                    .fetch_add(fill.len() as u64, Ordering::Relaxed);
-                result.extend(fill);
-            }
-        }
+        let (result, fills) =
+            self.routing
+                .closest(&servers, path, k, exclude, home.map(|(_, g)| g));
+        self.counters
+            .fills
+            .fetch_add(fills as u64, Ordering::Relaxed);
         result
     }
 
-    /// Cross-region fill: one ordered cursor per foreign landmark in a
-    /// consulted region (`region(L).peers_through(L's router)`, ascending
-    /// by depth below the landmark), k-way merged by the bridge estimate.
-    /// Mirrors the single server's cross-landmark fill with the global
-    /// distance matrix supplying the bridges.
-    fn bridge_fill(
-        &self,
-        path: &PeerPath,
-        own_global: u32,
-        k: usize,
-        consulted: &[RegionId],
-        exclude: &HashSet<PeerId>,
-        already: &HashSet<PeerId>,
-    ) -> Vec<Neighbor> {
-        let consulted: HashSet<RegionId> = consulted.iter().copied().collect();
-        let query_depth = path.depth();
-        type Cursor<'a> = (u32, Box<dyn Iterator<Item = (PeerId, u32)> + 'a>);
-        let mut heap: BinaryHeap<std::cmp::Reverse<(u32, PeerId, usize)>> = BinaryHeap::new();
-        let mut iters: Vec<Cursor<'_>> = Vec::new();
-        for (li, &lrouter) in self.landmark_routers.iter().enumerate() {
-            if li as u32 == own_global {
-                continue;
-            }
-            let region = self.landmark_region[li];
-            if !consulted.contains(&region) {
-                continue;
-            }
-            let bridge = self.landmark_dist[own_global as usize][li];
-            if bridge == u32::MAX {
-                continue;
-            }
-            let base = query_depth + bridge;
-            let mut iter = self.regions[region.index()]
-                .server()
-                .index()
-                .peers_through(lrouter);
-            if let Some((peer, depth)) = iter.next() {
-                let idx = iters.len();
-                heap.push(std::cmp::Reverse((base + depth, peer, idx)));
-                iters.push((base, Box::new(iter)));
-            }
-        }
-        let mut out = Vec::with_capacity(k);
-        let mut emitted: HashSet<PeerId> = HashSet::new();
-        while let Some(std::cmp::Reverse((est, peer, idx))) = heap.pop() {
-            let (base, iter) = &mut iters[idx];
-            if let Some((next_peer, depth)) = iter.next() {
-                heap.push(std::cmp::Reverse((*base + depth, next_peer, idx)));
-            }
-            if exclude.contains(&peer) || already.contains(&peer) || !emitted.insert(peer) {
-                continue;
-            }
-            out.push(Neighbor { peer, dtree: est });
-            if out.len() == k {
-                break;
-            }
-        }
-        out
-    }
-
-    /// Consumes the federation, yielding the routing metadata and the
+    /// Consumes the federation, yielding the routing tables and the
     /// owned per-region servers — everything the actorized runtime
-    /// ([`crate::runtime::ActorFederation`]) distributes across its
-    /// workers. Construction-time validation has already run, so the
-    /// runtime inherits a well-formed partition and bridge matrix.
-    pub(crate) fn into_runtime_parts(self) -> RuntimeParts {
-        let mut servers = Vec::with_capacity(self.regions.len());
-        for region in self.regions {
-            let (server, _globals) = region.into_server();
-            servers.push(server);
-        }
-        RuntimeParts {
-            landmark_routers: self.landmark_routers,
-            landmark_dist: self.landmark_dist,
-            landmark_region: self.landmark_region,
-            router_landmark: self.router_landmark,
-            bridge: self.bridge,
-            fanout: self.fanout,
-            fallback: self.fallback,
-            neighbor_count: self.neighbor_count,
-            servers,
-        }
+    /// ([`crate::runtime::ActorFederation`]) puts behind its region locks.
+    /// Construction-time validation has already run, so the runtime
+    /// inherits a well-formed partition and bridge matrix.
+    pub(crate) fn into_runtime_parts(self) -> (Routing, Vec<ManagementServer>) {
+        let servers = self
+            .regions
+            .into_iter()
+            .map(|region| region.into_server().0)
+            .collect();
+        (self.routing, servers)
     }
 
     /// Federated lease expiry: every region sweeps its epoch-bucketed
@@ -799,7 +806,7 @@ impl Federation {
     /// returned (the test harness's view of what died with the process),
     /// an empty stand-in takes its slot, and the region is marked down —
     /// writes to it are refused, queries route around it
-    /// ([`Self::query_regions`]). Crashing an already-down region fails.
+    /// ([`Routing::consulted`]). Crashing an already-down region fails.
     pub fn crash_region(&mut self, id: RegionId) -> Result<ManagementServer, CoreError> {
         if self.down[id.index()] {
             return Err(CoreError::RegionUnavailable(id.0));
@@ -860,9 +867,9 @@ impl Federation {
         }
         self.regions[id.index()].replace_server(server);
         self.down[id.index()] = false;
-        self.bridge = Self::compute_bridge(
-            &self.landmark_region,
-            &self.landmark_dist,
+        self.routing.bridge = Self::compute_bridge(
+            &self.routing.landmark_region,
+            &self.routing.landmark_dist,
             self.regions.len(),
         );
         Ok(report)

@@ -40,7 +40,7 @@
 mod federation;
 mod region;
 
-pub(crate) use federation::RuntimeParts;
+pub(crate) use federation::Routing;
 pub use federation::{
     FederatedBatchOutcome, FederatedJoin, Federation, FederationConfig, FederationStats,
     FederationSweep,

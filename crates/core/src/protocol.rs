@@ -82,10 +82,9 @@ pub enum Message {
         peer: PeerId,
     },
     /// Closest-peer query for an arbitrary path — the serving plane's hot
-    /// read. Carried both client→server (a registered peer refreshing its
-    /// neighbor list with its own stored path and `exclude = itself`) and
-    /// server→server (the federation front door fanning the same query out
-    /// to its region actors as RPC frames).
+    /// read: a registered peer refreshing its neighbor list with its own
+    /// stored path and `exclude = itself`, or an arbitrary probe. A
+    /// federated front door answers it with the full federated merge.
     QueryRequest {
         /// Correlates the reply when requests are pipelined or fanned out.
         nonce: u64,
@@ -104,9 +103,10 @@ pub enum Message {
         neighbors: Vec<WireNeighbor>,
     },
     /// Bridge-fill RPC (server→server): the first `limit` peers of the
-    /// ordered peers-through-router cursor at `router`, nearest first.
-    /// The federation front door merges these prefixes exactly like the
-    /// in-process k-way fill merges live cursors.
+    /// ordered peers-through-router cursor at `router`, nearest first —
+    /// what a front door in another process would k-way merge the way the
+    /// in-process bridge fill merges live cursors. A single server answers
+    /// it; a federated front door answers with an empty prefix.
     FillRequest {
         /// Correlates the reply.
         nonce: u64,

@@ -1,53 +1,43 @@
-//! The actorized federation: per-region workers and RPC-as-frames.
+//! The actorized federation: per-region write workers, reads on the
+//! caller's thread.
 //!
-//! [`crate::Federation`]'s home-first + fanout query is a loop of nested
-//! function calls into each region's server. Here every [`Region`] of the
-//! synchronous federation becomes an **actor**: its `ManagementServer`
-//! moves behind an `RwLock`, one write worker serializes its `&mut` ops,
-//! and a pool of query workers answers read RPCs. The front door carries
-//! those RPCs as **encoded [`crate::codec`] frames** — the same
-//! `QueryRequest`/`QueryReply`/`FillRequest`/`FillReply` messages
-//! `nearpeerd` speaks over TCP — so the in-process fan-out exercises the
-//! exact bytes a wire deployment would exchange, and the fan-out is
-//! genuinely concurrent: one frame per consulted region, all regions
-//! computing in parallel, replies merged by `(dtree, peer)` (an
-//! order-independent merge, so concurrency cannot perturb the answer).
+//! [`crate::Federation`] writes through `&mut self`. Here every [`Region`]
+//! of the synchronous federation becomes an **actor** on its write side:
+//! its `ManagementServer` moves behind an `RwLock` and one write worker
+//! drains the region's mailbox, so writes to different regions apply in
+//! parallel while a claims table keeps each peer's ops in order.
 //!
-//! Bridge fills become prefix-cursor RPCs: instead of lazily pulling a
-//! foreign region's `peers_through` iterator, the front door requests a
-//! bounded prefix per foreign landmark (`FillRequest { router, limit }`)
-//! and k-way merges the prefixes with the same per-cursor base the
-//! synchronous [`crate::Federation::closest_to_path`] uses. The prefix
-//! bound `2·missing + |exclude| + |already|` dominates every skip the
-//! merge can make (excluded peers, already-answered peers, cross-cursor
-//! duplicates — the emitted set never exceeds `missing`), so the merged
-//! result is **bit-identical** to the synchronous federation's — pinned
-//! at 1, 2 and 4 regions by `tests/properties.rs`.
+//! Reads need no actor. A federated query answers on the calling thread
+//! (one per TCP connection in `nearpeerd`): it takes a read guard on every
+//! consulted region and runs the very merge and bridge fill the
+//! synchronous front door runs — one shared function over the guarded
+//! servers — so answers are bit-identical by construction.
+//!
+//! **Lock order.** A reader holding more than one region acquires the
+//! guards in ascending [`RegionId`] order, always. std's `RwLock` parks
+//! new readers once a writer is queued, so two queries that each hold one
+//! region and reach for the other's (home region first, say) would
+//! deadlock behind the two regions' write workers. Write workers hold one
+//! region each and never wait on another, so the ascending order leaves no
+//! cycle to close.
 //!
 //! [`Region`]: crate::Region
 
-use crate::codec;
 use crate::error::CoreError;
-use crate::federation::{FederatedJoin, FederationStats, FederationSweep, RuntimeParts};
+use crate::federation::{FederatedJoin, FederationStats, FederationSweep, Routing};
 use crate::federation::{Federation, FederationConfig, RegionId};
 use crate::ids::{LandmarkId, PeerId};
 use crate::path::PeerPath;
-use crate::protocol::{Message, WireNeighbor};
 use crate::router_index::Neighbor;
 use crate::server::{ChurnBatchOutcome, ManagementServer};
 use crate::telemetry::{Counter, Histogram, SlowQueryRecord, TelemetryRegistry};
-use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Sender};
 use nearpeer_topology::RouterId;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock, RwLock};
+use std::sync::{mpsc, Arc, Mutex, OnceLock, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
-
-/// Query workers per region. Reads share the region's `RwLock` read
-/// side, so a small pool is enough to overlap decode/encode work.
-const QUERY_WORKERS: usize = 2;
 
 /// One write operation bound for a region's write worker.
 enum RegionOp {
@@ -85,89 +75,36 @@ enum RegionOp {
     },
 }
 
-/// One read RPC: an encoded request frame plus the channel the encoded
-/// reply frame goes back on.
-struct QueryJob {
-    frame: Bytes,
-    reply: mpsc::Sender<Bytes>,
-}
-
-/// Routing metadata shared with the workers.
-struct FedMeta {
-    landmark_routers: Vec<RouterId>,
-    landmark_dist: Vec<Vec<u32>>,
-    landmark_region: Vec<RegionId>,
-    router_landmark: HashMap<RouterId, u32>,
-    bridge: Vec<Vec<u32>>,
-    fanout: Option<usize>,
-    fallback: bool,
-    neighbor_count: usize,
+/// The actorized federation front door: every region behind its own
+/// write mailbox, federated reads answered inline under ordered region
+/// read guards, all operations `&self`.
+///
+/// Answers are bit-identical to a [`Federation`] fed the same operations
+/// (same consult order, the same merge and bridge-fill code); super-peers
+/// are rejected at construction exactly like the synchronous front door.
+pub struct ActorFederation {
+    routing: Routing,
     servers: Vec<Arc<RwLock<ManagementServer>>>,
+    /// Front-door membership authority: peer → current region.
+    claims: Mutex<HashMap<PeerId, RegionId>>,
+    write_txs: Vec<Sender<RegionOp>>,
+    workers: Vec<JoinHandle<()>>,
+    epoch: AtomicU64,
+    handovers: AtomicU64,
+    cross_region_handovers: AtomicU64,
     queries: Arc<Counter>,
     remote: Arc<Counter>,
     fills: Arc<Counter>,
     query_latency: Arc<Histogram>,
-}
-
-impl FedMeta {
-    fn home_of_path(&self, path: &PeerPath) -> Result<(RegionId, u32), CoreError> {
-        self.router_landmark
-            .get(&path.landmark_router())
-            .map(|&g| (self.landmark_region[g as usize], g))
-            .ok_or_else(|| {
-                CoreError::UnknownLandmark(format!(
-                    "path terminates at {} which is no federation landmark",
-                    path.landmark_router()
-                ))
-            })
-    }
-
-    /// Home region first, then foreign regions ascending by
-    /// `(bridge, id)` bounded by the fanout — identical to the
-    /// synchronous federation's consult order.
-    fn query_regions(&self, home: RegionId) -> Vec<RegionId> {
-        let mut foreign: Vec<RegionId> = (0..self.servers.len() as u32)
-            .map(RegionId)
-            .filter(|&r| r != home)
-            .collect();
-        foreign.sort_unstable_by_key(|&r| (self.bridge[home.index()][r.index()], r.0));
-        let take = self.fanout.unwrap_or(foreign.len()).min(foreign.len());
-        let mut out = Vec::with_capacity(take + 1);
-        out.push(home);
-        out.extend(foreign.into_iter().take(take));
-        out
-    }
-}
-
-/// The actorized federation front door: every region behind its own
-/// write mailbox and query-worker pool, cross-region RPC carried as
-/// codec frames, all operations `&self`.
-///
-/// Answers are bit-identical to a [`Federation`] fed the same operations
-/// (same consult order, same merges, same bridge fills); super-peers are
-/// rejected at construction exactly like the synchronous front door.
-pub struct ActorFederation {
-    meta: Arc<FedMeta>,
-    /// Front-door membership authority: peer → current region.
-    claims: Mutex<HashMap<PeerId, RegionId>>,
-    write_txs: Vec<Sender<RegionOp>>,
-    query_txs: Vec<Sender<QueryJob>>,
-    workers: Vec<JoinHandle<()>>,
-    epoch: AtomicU64,
-    nonce: AtomicU64,
-    handovers: AtomicU64,
-    cross_region_handovers: AtomicU64,
     /// One merged mailbox view across every region's write worker.
     write_obs: super::mailbox::MailboxObs,
-    /// One merged mailbox view across every region's query pool.
-    query_obs: super::mailbox::MailboxObs,
     telemetry: OnceLock<Arc<TelemetryRegistry>>,
 }
 
 impl ActorFederation {
     /// Builds the actorized federation from the same inputs as
     /// [`Federation::new`] (round-robin landmark partition, derived
-    /// bridge matrix) and spawns each region's workers.
+    /// bridge matrix) and spawns each region's write worker.
     pub fn new(
         landmark_routers: Vec<RouterId>,
         landmark_dist: Vec<Vec<u32>>,
@@ -176,44 +113,22 @@ impl ActorFederation {
     ) -> Result<Self, CoreError> {
         // Reuse the synchronous constructor: validation, partition and
         // bridge derivation stay one implementation.
-        let parts: RuntimeParts =
+        let (routing, servers) =
             Federation::new(landmark_routers, landmark_dist, n_regions, config)?
                 .into_runtime_parts();
-        let meta = Arc::new(FedMeta {
-            landmark_routers: parts.landmark_routers,
-            landmark_dist: parts.landmark_dist,
-            landmark_region: parts.landmark_region,
-            router_landmark: parts.router_landmark,
-            bridge: parts.bridge,
-            fanout: parts.fanout,
-            fallback: parts.fallback,
-            neighbor_count: parts.neighbor_count,
-            servers: parts
-                .servers
-                .into_iter()
-                .map(|s| Arc::new(RwLock::new(s)))
-                .collect(),
-            queries: Arc::new(Counter::new()),
-            remote: Arc::new(Counter::new()),
-            fills: Arc::new(Counter::new()),
-            query_latency: Arc::new(Histogram::new()),
-        });
+        let servers: Vec<Arc<RwLock<ManagementServer>>> = servers
+            .into_iter()
+            .map(|s| Arc::new(RwLock::new(s)))
+            .collect();
         let write_obs = super::mailbox::MailboxObs {
             batches: Arc::new(Counter::new()),
             items: Arc::new(Counter::new()),
             batch_size: Arc::new(Histogram::new()),
             queue_depth: Arc::new(crate::telemetry::Gauge::new()),
         };
-        let query_obs = super::mailbox::MailboxObs {
-            batches: Arc::new(Counter::new()),
-            items: Arc::new(Counter::new()),
-            batch_size: Arc::new(Histogram::new()),
-            queue_depth: Arc::new(crate::telemetry::Gauge::new()),
-        };
-        let mut write_txs = Vec::with_capacity(meta.servers.len());
-        let mut query_txs = Vec::with_capacity(meta.servers.len());
-        let mut workers = Vec::new();
-        for (r, server) in meta.servers.iter().enumerate() {
+        let mut write_txs = Vec::with_capacity(servers.len());
+        let mut workers = Vec::with_capacity(servers.len());
+        for (r, server) in servers.iter().enumerate() {
             let (wtx, wrx) = unbounded::<RegionOp>();
             let wserver = Arc::clone(server);
             workers.push(super::mailbox::spawn_batch_worker_observed(
@@ -229,49 +144,33 @@ impl ActorFederation {
                 },
             ));
             write_txs.push(wtx);
-            let (qtx, qrx) = unbounded::<QueryJob>();
-            for w in 0..QUERY_WORKERS {
-                let qserver = Arc::clone(server);
-                let qrx = qrx.clone();
-                workers.push(super::mailbox::spawn_batch_worker_observed(
-                    format!("region-{r}-query-{w}"),
-                    qrx,
-                    super::mailbox::DEFAULT_DRAIN_CAP,
-                    Some(query_obs.clone()),
-                    move |batch| {
-                        let srv = qserver.read().expect("region server poisoned");
-                        for job in batch {
-                            serve_query_frame(&srv, job);
-                        }
-                    },
-                ));
-            }
-            query_txs.push(qtx);
         }
         Ok(Self {
-            meta,
+            routing,
+            servers,
             claims: Mutex::new(HashMap::new()),
             write_txs,
-            query_txs,
             workers,
             epoch: AtomicU64::new(0),
-            nonce: AtomicU64::new(1),
             handovers: AtomicU64::new(0),
             cross_region_handovers: AtomicU64::new(0),
+            queries: Arc::new(Counter::new()),
+            remote: Arc::new(Counter::new()),
+            fills: Arc::new(Counter::new()),
+            query_latency: Arc::new(Histogram::new()),
             write_obs,
-            query_obs,
             telemetry: OnceLock::new(),
         })
     }
 
     /// Number of regions.
     pub fn n_regions(&self) -> usize {
-        self.meta.servers.len()
+        self.servers.len()
     }
 
     /// The global landmark routers, indexed by global [`LandmarkId`].
     pub fn landmarks(&self) -> &[RouterId] {
-        &self.meta.landmark_routers
+        &self.routing.landmark_routers
     }
 
     /// Registered peers across all regions.
@@ -296,9 +195,9 @@ impl ActorFederation {
     /// Aggregate federation counters.
     pub fn stats(&self) -> FederationStats {
         FederationStats {
-            queries: self.meta.queries.get(),
-            remote_regions_consulted: self.meta.remote.get(),
-            cross_region_fills: self.meta.fills.get(),
+            queries: self.queries.get(),
+            remote_regions_consulted: self.remote.get(),
+            cross_region_fills: self.fills.get(),
             handovers: self.handovers.load(Ordering::Relaxed),
             cross_region_handovers: self.cross_region_handovers.load(Ordering::Relaxed),
         }
@@ -309,31 +208,19 @@ impl ActorFederation {
     /// the sense that only the first registry sticks; every region
     /// server also binds its own shard counters under a region label.
     pub fn bind_telemetry(&self, reg: Arc<TelemetryRegistry>) {
-        reg.adopt_counter("fed_queries_total", "", Arc::clone(&self.meta.queries));
+        reg.adopt_counter("fed_queries_total", "", Arc::clone(&self.queries));
         reg.adopt_counter(
             "fed_remote_regions_consulted_total",
             "",
-            Arc::clone(&self.meta.remote),
+            Arc::clone(&self.remote),
         );
-        reg.adopt_counter(
-            "fed_cross_region_fills_total",
-            "",
-            Arc::clone(&self.meta.fills),
-        );
-        reg.adopt_histogram(
-            "fed_query_latency_us",
-            "",
-            Arc::clone(&self.meta.query_latency),
-        );
-        for (obs, label) in [
-            (&self.write_obs, "mailbox=\"region-write\""),
-            (&self.query_obs, "mailbox=\"region-query\""),
-        ] {
-            reg.adopt_counter("mailbox_batches_total", label, Arc::clone(&obs.batches));
-            reg.adopt_counter("mailbox_items_total", label, Arc::clone(&obs.items));
-            reg.adopt_histogram("mailbox_batch_size", label, Arc::clone(&obs.batch_size));
-            reg.adopt_gauge("mailbox_queue_depth", label, Arc::clone(&obs.queue_depth));
-        }
+        reg.adopt_counter("fed_cross_region_fills_total", "", Arc::clone(&self.fills));
+        reg.adopt_histogram("fed_query_latency_us", "", Arc::clone(&self.query_latency));
+        let (obs, label) = (&self.write_obs, "mailbox=\"region-write\"");
+        reg.adopt_counter("mailbox_batches_total", label, Arc::clone(&obs.batches));
+        reg.adopt_counter("mailbox_items_total", label, Arc::clone(&obs.items));
+        reg.adopt_histogram("mailbox_batch_size", label, Arc::clone(&obs.batch_size));
+        reg.adopt_gauge("mailbox_queue_depth", label, Arc::clone(&obs.queue_depth));
         let _ = self.telemetry.set(reg);
     }
 
@@ -344,8 +231,7 @@ impl ActorFederation {
 
     /// Forwarding tombstones currently held across all regions.
     pub fn tombstone_count(&self) -> usize {
-        self.meta
-            .servers
+        self.servers
             .iter()
             .map(|s| s.read().expect("region server poisoned").tombstone_count())
             .sum()
@@ -366,7 +252,7 @@ impl ActorFederation {
     /// Registers a newcomer — the actorized [`Federation::register`]:
     /// write-only insert in the home region, federated answer.
     pub fn register(&self, peer: PeerId, path: PeerPath) -> Result<FederatedJoin, CoreError> {
-        let (region, global) = self.meta.home_of_path(&path)?;
+        let (region, global) = self.routing.home_of_path(&path)?;
         let query_path = path.clone();
         let (tx, rx) = mpsc::channel();
         {
@@ -385,7 +271,7 @@ impl ActorFederation {
         }
         let out = rx.recv().expect("region worker alive");
         debug_assert_eq!(out.joined, 1, "validated fresh insert");
-        let neighbors = self.closest_to_path(&query_path, self.meta.neighbor_count, Some(peer));
+        let neighbors = self.closest_to_path(&query_path, self.routing.neighbor_count, Some(peer));
         Ok(FederatedJoin {
             region,
             landmark: LandmarkId(global),
@@ -398,7 +284,7 @@ impl ActorFederation {
     /// forwarding teardown and the destination insert under one
     /// claims-lock critical section.
     pub fn handover(&self, peer: PeerId, new_path: PeerPath) -> Result<FederatedJoin, CoreError> {
-        let (dest, global) = self.meta.home_of_path(&new_path)?;
+        let (dest, global) = self.routing.home_of_path(&new_path)?;
         let query_path = new_path.clone();
         enum Pending {
             Same(mpsc::Receiver<Result<(), CoreError>>),
@@ -457,7 +343,7 @@ impl ActorFederation {
             }
         }
         self.handovers.fetch_add(1, Ordering::Relaxed);
-        let neighbors = self.closest_to_path(&query_path, self.meta.neighbor_count, Some(peer));
+        let neighbors = self.closest_to_path(&query_path, self.routing.neighbor_count, Some(peer));
         Ok(FederatedJoin {
             region: dest,
             landmark: LandmarkId(global),
@@ -469,7 +355,7 @@ impl ActorFederation {
     /// Peers partition by their claimed region (unknown ids are skipped
     /// without touching any region); returns the number removed.
     pub fn leave_batch(&self, peers: &[PeerId]) -> usize {
-        let mut per_region: Vec<Vec<PeerId>> = vec![Vec::new(); self.meta.servers.len()];
+        let mut per_region: Vec<Vec<PeerId>> = vec![Vec::new(); self.servers.len()];
         let mut rxs = Vec::new();
         {
             let mut claims = self.claims.lock().expect("claims poisoned");
@@ -501,7 +387,7 @@ impl ActorFederation {
     /// Batched heartbeat renewal — the actorized
     /// [`Federation::renew_batch`]; returns the number renewed.
     pub fn renew_batch(&self, peers: &[PeerId]) -> usize {
-        let mut per_region: Vec<Vec<PeerId>> = vec![Vec::new(); self.meta.servers.len()];
+        let mut per_region: Vec<Vec<PeerId>> = vec![Vec::new(); self.servers.len()];
         let mut rxs = Vec::new();
         {
             let claims = self.claims.lock().expect("claims poisoned");
@@ -560,7 +446,7 @@ impl ActorFederation {
             .region_of_peer(peer)
             .ok_or(CoreError::UnknownPeer(peer))?;
         let path = {
-            let srv = self.meta.servers[region.index()]
+            let srv = self.servers[region.index()]
                 .read()
                 .expect("region server poisoned");
             srv.path_of(peer)
@@ -571,181 +457,65 @@ impl ActorFederation {
     }
 
     /// The closest registered peers to a query path — the actorized
-    /// [`Federation::closest_to_path`]. One `QueryRequest` frame fans out
-    /// to every consulted region concurrently; replies merge by
-    /// `(dtree, peer)`; bridge fills arrive as `FillReply` prefixes and
-    /// merge with per-cursor bases, exactly like the synchronous merge.
+    /// [`Federation::closest_to_path`], answered on the calling thread:
+    /// read guards on every consulted region (taken by
+    /// [`Self::read_regions`]), then the synchronous front door's own
+    /// merge and bridge fill over them.
     pub fn closest_to_path(
         &self,
         path: &PeerPath,
         k: usize,
         exclude: Option<PeerId>,
     ) -> Vec<Neighbor> {
-        self.meta.queries.inc();
+        self.queries.inc();
         let started = self
             .telemetry
             .get()
             .filter(|t| t.timing_enabled())
             .map(|_| Instant::now());
-        let home = self.meta.home_of_path(path).ok();
-        let consulted: Vec<RegionId> = match home {
-            Some((home, _)) => self.meta.query_regions(home),
-            None => (0..self.meta.servers.len() as u32).map(RegionId).collect(),
+        let home = self.routing.home_of_path(path).ok();
+        let consulted = self.routing.consulted(home.map(|(r, _)| r), |_| true);
+        self.remote.add(consulted.len().saturating_sub(1) as u64);
+        let (result, fills) = {
+            let guards = self.read_regions(&consulted);
+            let servers: Vec<Option<&ManagementServer>> =
+                guards.iter().map(|g| g.as_deref()).collect();
+            self.routing
+                .closest(&servers, path, k, exclude, home.map(|(_, g)| g))
         };
-        self.meta
-            .remote
-            .add(consulted.len().saturating_sub(1) as u64);
-        let nonce = self.nonce.fetch_add(1, Ordering::Relaxed);
-        let frame = codec::encode_to_bytes(&Message::QueryRequest {
-            nonce,
-            path: path.clone(),
-            k: k.min(u16::MAX as usize) as u16,
-            exclude,
-        });
-        let (tx, rx) = mpsc::channel();
-        for &r in &consulted {
-            self.query_txs[r.index()]
-                .send(QueryJob {
-                    frame: frame.clone(),
-                    reply: tx.clone(),
-                })
-                .expect("query worker outlives the front door");
-        }
-        drop(tx);
-        let mut result: Vec<Neighbor> = Vec::with_capacity(k.saturating_mul(2));
-        for _ in 0..consulted.len() {
-            let reply = rx.recv().expect("query worker alive");
-            match decode_frame(&reply) {
-                Message::QueryReply {
-                    nonce: n,
-                    neighbors,
-                } => {
-                    debug_assert_eq!(n, nonce, "reply correlates to this fan-out");
-                    result.extend(neighbors.into_iter().map(|w| Neighbor {
-                        peer: w.peer,
-                        dtree: w.dtree,
-                    }));
-                }
-                other => unreachable!("query worker answered {}", other.kind_name()),
-            }
-        }
-        result.sort_unstable_by_key(|n| (n.dtree, n.peer));
-        result.truncate(k);
-        let exact_len = result.len();
-        if result.len() < k && self.meta.fallback {
-            if let Some((_, own_global)) = home {
-                let missing = k - result.len();
-                let excl: HashSet<PeerId> = exclude.into_iter().collect();
-                let have: HashSet<PeerId> = result.iter().map(|n| n.peer).collect();
-                let fill =
-                    self.bridge_fill_rpc(path, own_global, missing, &consulted, &excl, &have);
-                self.meta.fills.add(fill.len() as u64);
-                result.extend(fill);
-            }
-        }
+        self.fills.add(fills as u64);
         if let (Some(start), Some(t)) = (started, self.telemetry.get()) {
             let us = start.elapsed().as_micros() as u64;
-            self.meta.query_latency.record(us);
+            self.query_latency.record(us);
             t.slow().offer(us, || SlowQueryRecord {
                 latency_us: us,
                 landmark: home.map(|(_, g)| g as u64),
                 path_depth: path.depth() as usize,
-                fanout: result.len() - exact_len,
+                fanout: fills,
                 answered: result.len(),
             });
         }
         result
     }
 
-    /// Cross-region fill over `FillRequest` prefix cursors: one bounded
-    /// prefix per foreign landmark in a consulted region, k-way merged by
-    /// `depth(query) + bridge + depth(peer)` with per-cursor bases. The
-    /// prefix bound `2·missing + |exclude| + |already|` covers the
-    /// merge's worst case (each cursor can skip at most every excluded,
-    /// already-answered and cross-cursor-emitted peer, and the emitted
-    /// set never exceeds `missing`), so exhausting a prefix means the
-    /// live cursor would have been exhausted too.
-    fn bridge_fill_rpc(
+    /// Read guards on `regions`, indexed by [`RegionId`] (`None` for the
+    /// rest), **acquired in ascending region order** whatever order
+    /// `regions` lists them in — the lock order that keeps concurrent
+    /// multi-region readers from deadlocking behind queued write workers
+    /// (see the module docs).
+    fn read_regions(
         &self,
-        path: &PeerPath,
-        own_global: u32,
-        missing: usize,
-        consulted: &[RegionId],
-        exclude: &HashSet<PeerId>,
-        already: &HashSet<PeerId>,
-    ) -> Vec<Neighbor> {
-        let consulted: HashSet<RegionId> = consulted.iter().copied().collect();
-        let query_depth = path.depth();
-        let limit = (2 * missing + exclude.len() + already.len()).min(u16::MAX as usize) as u16;
-        // Issue every eligible cursor's RPC before collecting: the
-        // regions compute their prefixes concurrently.
-        let (tx, rx) = mpsc::channel();
-        let mut cursors: Vec<(u64, u32)> = Vec::new(); // (nonce, base), issue order
-        for (li, &lrouter) in self.meta.landmark_routers.iter().enumerate() {
-            if li as u32 == own_global {
-                continue;
-            }
-            let region = self.meta.landmark_region[li];
-            if !consulted.contains(&region) {
-                continue;
-            }
-            let bridge = self.meta.landmark_dist[own_global as usize][li];
-            if bridge == u32::MAX {
-                continue;
-            }
-            let nonce = self.nonce.fetch_add(1, Ordering::Relaxed);
-            let frame = codec::encode_to_bytes(&Message::FillRequest {
-                nonce,
-                router: lrouter,
-                limit,
-            });
-            self.query_txs[region.index()]
-                .send(QueryJob {
-                    frame,
-                    reply: tx.clone(),
-                })
-                .expect("query worker outlives the front door");
-            cursors.push((nonce, query_depth + bridge));
+        regions: &[RegionId],
+    ) -> Vec<Option<RwLockReadGuard<'_, ManagementServer>>> {
+        let mut wanted = vec![false; self.servers.len()];
+        for r in regions {
+            wanted[r.index()] = true;
         }
-        drop(tx);
-        let mut prefixes: HashMap<u64, Vec<WireNeighbor>> = HashMap::with_capacity(cursors.len());
-        for _ in 0..cursors.len() {
-            let reply = rx.recv().expect("query worker alive");
-            match decode_frame(&reply) {
-                Message::FillReply { nonce, items } => {
-                    prefixes.insert(nonce, items);
-                }
-                other => unreachable!("fill worker answered {}", other.kind_name()),
-            }
-        }
-        // K-way merge of the prefixes, identical to the live-cursor merge.
-        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u32, PeerId, usize)>> =
-            std::collections::BinaryHeap::new();
-        let mut iters: Vec<(u32, std::vec::IntoIter<WireNeighbor>)> = Vec::new();
-        for (nonce, base) in cursors {
-            let mut iter = prefixes.remove(&nonce).unwrap_or_default().into_iter();
-            if let Some(item) = iter.next() {
-                let idx = iters.len();
-                heap.push(std::cmp::Reverse((base + item.dtree, item.peer, idx)));
-                iters.push((base, iter));
-            }
-        }
-        let mut out = Vec::with_capacity(missing);
-        let mut emitted: HashSet<PeerId> = HashSet::new();
-        while let Some(std::cmp::Reverse((est, peer, idx))) = heap.pop() {
-            let (base, iter) = &mut iters[idx];
-            if let Some(item) = iter.next() {
-                heap.push(std::cmp::Reverse((*base + item.dtree, item.peer, idx)));
-            }
-            if exclude.contains(&peer) || already.contains(&peer) || !emitted.insert(peer) {
-                continue;
-            }
-            out.push(Neighbor { peer, dtree: est });
-            if out.len() == missing {
-                break;
-            }
-        }
-        out
+        self.servers
+            .iter()
+            .zip(wanted)
+            .map(|(server, wanted)| wanted.then(|| server.read().expect("region server poisoned")))
+            .collect()
     }
 
     fn send_write(&self, region: RegionId, op: RegionOp) {
@@ -772,7 +542,6 @@ impl ActorFederation {
 impl Drop for ActorFederation {
     fn drop(&mut self) {
         self.write_txs.clear();
-        self.query_txs.clear();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -782,7 +551,7 @@ impl Drop for ActorFederation {
 impl std::fmt::Debug for ActorFederation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ActorFederation")
-            .field("regions", &self.meta.servers.len())
+            .field("regions", &self.servers.len())
             .field("peers", &self.peer_count())
             .field("epoch", &self.epoch())
             .finish_non_exhaustive()
@@ -819,59 +588,10 @@ fn apply_region_op(srv: &mut ManagementServer, op: RegionOp) {
     }
 }
 
-/// The region-side half of the RPC: decode the request frame, answer
-/// from the server's read path, encode the reply frame. `QueryRequest`
-/// here asks for the region's **exact candidates** (`query_nearest`),
-/// not a federated answer — the front door owns merging and fills.
-fn serve_query_frame(srv: &ManagementServer, job: QueryJob) {
-    let reply = match decode_frame(&job.frame) {
-        Message::QueryRequest {
-            nonce,
-            path,
-            k,
-            exclude,
-        } => {
-            let excl: HashSet<PeerId> = exclude.into_iter().collect();
-            let neighbors = srv
-                .index()
-                .query_nearest(&path, k as usize, &excl)
-                .into_iter()
-                .map(|n| WireNeighbor {
-                    peer: n.peer,
-                    dtree: n.dtree,
-                })
-                .collect();
-            Message::QueryReply { nonce, neighbors }
-        }
-        Message::FillRequest {
-            nonce,
-            router,
-            limit,
-        } => {
-            let items = srv
-                .index()
-                .peers_through(router)
-                .take(limit as usize)
-                .map(|(peer, depth)| WireNeighbor { peer, dtree: depth })
-                .collect();
-            Message::FillReply { nonce, items }
-        }
-        other => unreachable!("region worker received {}", other.kind_name()),
-    };
-    let _ = job.reply.send(codec::encode_to_bytes(&reply));
-}
-
-/// Decodes one well-formed internal frame (the front door and workers
-/// only exchange frames they encoded themselves).
-fn decode_frame(frame: &Bytes) -> Message {
-    let mut buf = BytesMut::new();
-    buf.extend_from_slice(frame);
-    codec::decode(&mut buf).expect("internal frames are well-formed")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn path(ids: &[u32]) -> PeerPath {
         PeerPath::new(ids.iter().map(|&i| RouterId(i)).collect()).unwrap()
@@ -903,16 +623,17 @@ mod tests {
     }
 
     #[test]
-    fn frames_carry_the_federated_answer() {
+    fn inline_fan_out_bridges_across_regions() {
         let f = fed(2);
         f.register(PeerId(1), path(&[4, 2, 1, 0])).unwrap();
         let out = f.register(PeerId(2), path(&[110, 105, 100])).unwrap();
         assert_eq!(out.region, RegionId(1));
         assert_eq!(out.landmark, LandmarkId(1));
-        // Bridge fill through an RPC frame: depth 2 + bridge 5 + depth 3.
+        // Bridge fill from the foreign region: depth 2 + bridge 5 + depth 3.
         assert_eq!(out.neighbors.len(), 1);
         assert_eq!(out.neighbors[0].peer, PeerId(1));
         assert_eq!(out.neighbors[0].dtree, 10);
+        assert_eq!(f.stats().cross_region_fills, 1);
         assert!(matches!(
             f.register(PeerId(1), path(&[111, 105, 100])),
             Err(CoreError::DuplicatePeer(_))
@@ -965,5 +686,70 @@ mod tests {
             assert_eq!(n.len(), 3);
             assert!(n.iter().all(|x| x.peer != PeerId(id)));
         }
+    }
+
+    #[test]
+    fn lock_order_survives_concurrent_queries_and_writes() {
+        // Queries homed in every region hold read guards on all four
+        // regions while cross-region handovers, departures, epochs and
+        // sweeps keep each region's write worker queueing on its lock.
+        // Acquired home-first, two such queries deadlock behind the queued
+        // writers (std's RwLock parks new readers once a writer waits);
+        // the ascending order cannot. The watchdog turns a hang into a
+        // failure instead of a stuck test run.
+        const BUDGET: Duration = Duration::from_secs(60);
+        let f = Arc::new(fed(4));
+        let homed = |id: u64, region: u64| {
+            path(&[
+                1000 + id as u32,
+                region as u32 * 100 + 1,
+                region as u32 * 100,
+            ])
+        };
+        for id in 0..64u64 {
+            f.register(PeerId(id), homed(id, id % 4)).unwrap();
+        }
+        let (done_tx, done_rx) = mpsc::channel();
+        let shared = Arc::clone(&f);
+        std::thread::spawn(move || {
+            let f = &*shared;
+            std::thread::scope(|scope| {
+                for t in 0..4u64 {
+                    scope.spawn(move || {
+                        for i in 0..2_000u64 {
+                            let region = (t + i) % 4;
+                            let answer = f.closest_to_path(&homed(5000 + i, region), 3, None);
+                            assert!(answer.len() <= 3);
+                        }
+                    });
+                }
+                scope.spawn(move || {
+                    for round in 0..300u64 {
+                        let id = round % 64;
+                        // Cross-region move: teardown in one region's
+                        // mailbox, insert in another's.
+                        let _ = f.handover(PeerId(id), homed(id, (id + round + 1) % 4));
+                        if round % 5 == 0 {
+                            f.leave_batch(&[PeerId(id)]);
+                            let _ = f.register(PeerId(id), homed(id, round % 4));
+                        }
+                    }
+                });
+                scope.spawn(move || {
+                    for _ in 0..100 {
+                        f.advance_epoch();
+                        f.expire_stale(1_000);
+                    }
+                });
+            });
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(BUDGET)
+            .expect("federated reads deadlocked behind the region write workers");
+        assert_eq!(
+            f.stats().queries as usize,
+            64 + 4 * 2_000 + f.stats().handovers as usize + 60
+        );
     }
 }

@@ -12,10 +12,10 @@
 //!   reads take shard read guards and run the shared merge plans in
 //!   [`crate::directory::query`], so answers are bit-identical to the
 //!   facade's by construction;
-//! * [`ActorFederation`] — one write mailbox plus a query-worker pool
-//!   per region; the home-first + fanout query is carried as encoded
-//!   [`crate::codec`] frames (`QueryRequest`/`FillRequest` RPCs), fanned
-//!   out concurrently and merged order-independently;
+//! * [`ActorFederation`] — one write mailbox per region; the federated
+//!   query (home region first, then the fan-out) answers on the caller's
+//!   thread under region read guards taken in ascending region order,
+//!   running the same merge and bridge fill as [`crate::Federation`];
 //! * [`WireService`] — the one-method trait both actors implement, and
 //!   the only thing the `nearpeerd` TCP server needs to know about.
 //!
@@ -297,8 +297,7 @@ impl WireService for ActorFederation {
             } => Some(Message::QueryReply {
                 nonce,
                 // Client-facing queries get the full federated answer
-                // (fan-out + bridge fills); the region workers' own
-                // QueryRequest handling stays exact-candidates-only.
+                // (fan-out + bridge fills).
                 neighbors: to_wire(self.closest_to_path(&path, k as usize, exclude)),
             }),
             Message::FillRequest { nonce, .. } => Some(Message::FillReply {

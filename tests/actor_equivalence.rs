@@ -133,8 +133,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// [`ActorFederation`] ≡ [`Federation`] at 1, 2 and 4 regions: the
-    /// RPC-frame fan-out and prefix-cursor bridge fills reproduce the
-    /// nested-call query exactly.
+    /// inline fan-out under region read guards reproduces the nested-call
+    /// query exactly, down to the fan-out and bridge-fill counters.
     #[test]
     fn actor_federation_matches_sync_federation(
         ops in arb_ops(),
@@ -206,5 +206,48 @@ proptest! {
         }
         prop_assert_eq!(sync.peer_count(), actor.peer_count());
         prop_assert_eq!(sync.tombstone_count(), actor.tombstone_count());
+        prop_assert_eq!(sync.stats(), actor.stats());
+    }
+}
+
+/// A sparse population — one peer per landmark, so no query has an exact
+/// candidate — forces every answer through the cross-region bridge fill
+/// at 2 and 4 regions. Pins that the fills really occur (the random
+/// sequences above may or may not produce them) and that both front
+/// doors agree on every one.
+#[test]
+fn actor_federation_bridge_fills_match_sync_federation() {
+    let joins = SyntheticJoins::new(LANDMARKS);
+    let (routers, dist) = synthetic_landmarks(LANDMARKS);
+    for regions in [2usize, 4] {
+        let fed_config = FederationConfig {
+            fanout: None,
+            server: config(),
+        };
+        let mut sync =
+            Federation::new(routers.clone(), dist.clone(), regions, fed_config).expect("builds");
+        let actor = ActorFederation::new(routers.clone(), dist.clone(), regions, fed_config)
+            .expect("builds");
+        for p in 0..LANDMARKS as u64 {
+            let a = fed_key(sync.register(PeerId(p), joins.path(p)));
+            let b = fed_key(actor.register(PeerId(p), joins.path(p)));
+            assert_eq!(a, b, "register {p} at {regions} regions");
+        }
+        for p in 0..LANDMARKS as u64 {
+            let path = joins.path(p);
+            let a = key(&sync.closest_to_path(&path, 3, Some(PeerId(p))));
+            let b = key(&actor.closest_to_path(&path, 3, Some(PeerId(p))));
+            assert_eq!(a.len(), 3, "a full answer from bridge fills alone");
+            assert_eq!(a, b, "query {p} at {regions} regions");
+        }
+        let path = joins.path_to(0, LandmarkId(1));
+        let a = fed_key(sync.handover(PeerId(0), path.clone()));
+        let b = fed_key(actor.handover(PeerId(0), path));
+        assert_eq!(a, b, "cross-region handover at {regions} regions");
+        assert_eq!(sync.stats(), actor.stats());
+        assert!(
+            actor.stats().cross_region_fills > 0,
+            "no bridge fill ran at {regions} regions"
+        );
     }
 }
