@@ -99,16 +99,16 @@ impl FederationSweep {
 #[derive(Debug)]
 pub(crate) struct Routing {
     pub landmark_routers: Vec<RouterId>,
-    pub landmark_dist: Vec<Vec<u32>>,
+    landmark_dist: Vec<Vec<u32>>,
     /// Global landmark index → owning region.
-    pub landmark_region: Vec<RegionId>,
+    landmark_region: Vec<RegionId>,
     /// Landmark router → global landmark index.
-    pub router_landmark: HashMap<RouterId, u32>,
+    router_landmark: HashMap<RouterId, u32>,
     /// Region × region bridge matrix: the minimum landmark-to-landmark
     /// hop distance across the pair (`u32::MAX` = no measured bridge).
-    pub bridge: Vec<Vec<u32>>,
-    pub fanout: Option<usize>,
-    pub fallback: bool,
+    bridge: Vec<Vec<u32>>,
+    fanout: Option<usize>,
+    fallback: bool,
     pub neighbor_count: usize,
 }
 

@@ -711,7 +711,7 @@ mod tests {
         }
         let (done_tx, done_rx) = mpsc::channel();
         let shared = Arc::clone(&f);
-        std::thread::spawn(move || {
+        let stress = std::thread::spawn(move || {
             let f = &*shared;
             std::thread::scope(|scope| {
                 for t in 0..4u64 {
@@ -728,10 +728,11 @@ mod tests {
                         let id = round % 64;
                         // Cross-region move: teardown in one region's
                         // mailbox, insert in another's.
-                        let _ = f.handover(PeerId(id), homed(id, (id + round + 1) % 4));
+                        f.handover(PeerId(id), homed(id, (id + round + 1) % 4))
+                            .unwrap();
                         if round % 5 == 0 {
-                            f.leave_batch(&[PeerId(id)]);
-                            let _ = f.register(PeerId(id), homed(id, round % 4));
+                            assert_eq!(f.leave_batch(&[PeerId(id)]), 1);
+                            f.register(PeerId(id), homed(id, round % 4)).unwrap();
                         }
                     }
                 });
@@ -744,12 +745,12 @@ mod tests {
             });
             let _ = done_tx.send(());
         });
-        done_rx
-            .recv_timeout(BUDGET)
-            .expect("federated reads deadlocked behind the region write workers");
-        assert_eq!(
-            f.stats().queries as usize,
-            64 + 4 * 2_000 + f.stats().handovers as usize + 60
-        );
+        if let Err(mpsc::RecvTimeoutError::Timeout) = done_rx.recv_timeout(BUDGET) {
+            panic!("federated reads deadlocked behind the region write workers");
+        }
+        stress.join().expect("stress threads ran clean");
+        // Every join, query and handover answered: 64 + 60 registrations,
+        // 4 × 2000 queries, 300 handovers.
+        assert_eq!(f.stats().queries, 64 + 60 + 4 * 2_000 + 300);
     }
 }
