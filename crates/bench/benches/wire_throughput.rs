@@ -3,8 +3,8 @@
 //! per-connection serve loop) holding 10⁵ registered peers.
 //!
 //! Two servers, same population: a single-region [`ActorServer`] and a
-//! 4-region [`ActorFederation`] whose fan-out travels as codec frames
-//! between its region actors. Each iteration round-trips a pipelined
+//! 4-region [`ActorFederation`], which answers its fan-out on the serving
+//! connection's thread. Each iteration round-trips a pipelined
 //! batch of queries, so the number includes encode, socket, reassembly,
 //! decode and the directory answer. Headline numbers live in
 //! `BENCH_wire.json` at the repository root.
@@ -13,11 +13,12 @@
 //! [`ActorFederation`]: nearpeer_core::ActorFederation
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use nearpeer_bench::wire::{build_service, world, FrameConn};
+use nearpeer_bench::wire::{build_service, world, Acceptor, FrameConn};
 use nearpeer_bench::SyntheticJoins;
 use nearpeer_core::protocol::Message;
 use nearpeer_core::{PeerId, ServerConfig, WireService};
 use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 const PEERS: u64 = 100_000;
@@ -26,29 +27,14 @@ const QUERIES_PER_ITER: u64 = 1_000;
 const WINDOW: u64 = 256;
 const K: u16 = 5;
 
-/// Serves `service` on a loopback listener — `nearpeerd`'s serve loop
-/// without the shutdown plumbing (the bench process just exits).
+/// Serves `service` on a loopback listener through `nearpeerd`'s own
+/// accept loop (the bench process just exits, so nothing shuts it down).
 fn spawn_server(service: Arc<dyn WireService>) -> SocketAddr {
     let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
-    let addr = listener.local_addr().expect("bound");
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(stream) = stream else { continue };
-            let service = Arc::clone(&service);
-            std::thread::spawn(move || {
-                let Ok(mut conn) = FrameConn::new(stream) else {
-                    return;
-                };
-                while let Ok(Some(msg)) = conn.recv() {
-                    if let Some(reply) = service.handle(msg) {
-                        if conn.send(&reply).is_err() {
-                            return;
-                        }
-                    }
-                }
-            });
-        }
-    });
+    let acceptor = Acceptor::new(listener, service, Arc::new(AtomicBool::new(false)), None)
+        .expect("bound address");
+    let addr = acceptor.local_addr();
+    std::thread::spawn(move || acceptor.run());
     addr
 }
 

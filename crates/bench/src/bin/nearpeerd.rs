@@ -185,8 +185,10 @@ fn main() {
         }
     }
     // Drain on shutdown: every live connection loop notices the flag
-    // within its read timeout and exits; queued writes finish because the
-    // actors' drop path joins their workers after the mailboxes disconnect.
+    // within its read timeout and exits; queued shard writes finish
+    // because `ActorServer`'s drop path joins its workers after the
+    // mailboxes disconnect (a federation applies writes inline, so it
+    // has no queue to drain).
     acceptor.run();
     eprintln!("nearpeerd: drained, exiting");
 }

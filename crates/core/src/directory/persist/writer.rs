@@ -20,7 +20,7 @@
 //! died between flushes. [`WriterStats::error`] reports what happened.
 
 use super::journal::{self, JournalOp};
-use crate::runtime::mailbox::{spawn_batch_worker_observed, MailboxObs};
+use crate::runtime::mailbox::{spawn_batch_worker, MailboxObs};
 use crate::telemetry::{Counter, Gauge, Histogram, TelemetryRegistry};
 use std::fs;
 use std::io::{Seek, SeekFrom, Write};
@@ -242,11 +242,11 @@ impl DurabilityWriter {
             batch_size: Arc::clone(&shared.batch_size),
             queue_depth: Arc::clone(&shared.queue_depth),
         };
-        let handle = spawn_batch_worker_observed(
+        let handle = spawn_batch_worker(
             "durability-writer".into(),
             rx,
             crate::runtime::mailbox::DEFAULT_DRAIN_CAP,
-            Some(obs),
+            obs,
             move |batch| {
                 if killed {
                     return;

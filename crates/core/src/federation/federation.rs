@@ -749,9 +749,10 @@ impl Federation {
 
     /// Consumes the federation, yielding the routing tables and the
     /// owned per-region servers — everything the actorized runtime
-    /// ([`crate::runtime::ActorFederation`]) puts behind its region locks.
-    /// Construction-time validation has already run, so the runtime
-    /// inherits a well-formed partition and bridge matrix.
+    /// ([`crate::runtime::ActorFederation`]) puts behind its region locks,
+    /// one `RwLock` per server that its callers read and write on their
+    /// own threads. Construction-time validation has already run, so the
+    /// runtime inherits a well-formed partition and bridge matrix.
     pub(crate) fn into_runtime_parts(self) -> (Routing, Vec<ManagementServer>) {
         let servers = self
             .regions

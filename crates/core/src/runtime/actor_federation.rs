@@ -1,25 +1,40 @@
-//! The actorized federation: per-region write workers, reads on the
-//! caller's thread.
+//! The actorized federation: every operation on the caller's thread,
+//! under one claims mutex for writes and ordered region guards.
 //!
 //! [`crate::Federation`] writes through `&mut self`. Here every [`Region`]
-//! of the synchronous federation becomes an **actor** on its write side:
-//! its `ManagementServer` moves behind an `RwLock` and one write worker
-//! drains the region's mailbox, so writes to different regions apply in
-//! parallel while a claims table keeps each peer's ops in order.
+//! of the synchronous federation moves its `ManagementServer` behind an
+//! `RwLock`, and a claims table (peer → region) is the membership
+//! authority, so the front door serves through `&self` from any number of
+//! threads (one per TCP connection in `nearpeerd`).
 //!
-//! Reads need no actor. A federated query answers on the calling thread
-//! (one per TCP connection in `nearpeerd`): it takes a read guard on every
+//! Writes apply on the calling thread: take the claims mutex, decide
+//! membership, and apply the region op under that region's write guard
+//! while the claims mutex is still held. Claims and regions therefore
+//! change together, and writes serialise on the claims mutex.
+//!
+//! Reads need no claims. A federated query takes a read guard on every
 //! consulted region and runs the very merge and bridge fill the
 //! synchronous front door runs — one shared function over the guarded
 //! servers — so answers are bit-identical by construction.
 //!
-//! **Lock order.** A reader holding more than one region acquires the
-//! guards in ascending [`RegionId`] order, always. std's `RwLock` parks
-//! new readers once a writer is queued, so two queries that each hold one
-//! region and reach for the other's (home region first, say) would
-//! deadlock behind the two regions' write workers. Write workers hold one
-//! region each and never wait on another, so the ascending order leaves no
-//! cycle to close.
+//! **Lock order.**
+//! * A writer takes the claims mutex, then **at most one** region write
+//!   guard at a time. A cross-region handover drops `from`'s guard before
+//!   it takes `dest`'s.
+//! * A reader holding more than one region acquires the read guards in
+//!   ascending [`RegionId`] order, always, and never takes the claims
+//!   mutex while it holds a region guard.
+//!
+//! std's `RwLock` parks new readers once a writer is queued, which is
+//! what makes both rules matter. A writer holding `from` while it waits
+//! for `dest` deadlocks against a reader that holds `dest` and is parked
+//! on `from` behind it. Two readers that each hold one region and reach
+//! for the other's (home region first, say) deadlock once writers are
+//! queued on both regions. Writers serialised on the claims mutex never
+//! queue on two regions at once, so that second cycle cannot form today;
+//! the ascending order keeps it impossible should writes ever run in
+//! parallel again. With both rules, no thread waits while holding what a
+//! thread ahead of it needs.
 //!
 //! [`Region`]: crate::Region
 
@@ -29,66 +44,27 @@ use crate::federation::{Federation, FederationConfig, RegionId};
 use crate::ids::{LandmarkId, PeerId};
 use crate::path::PeerPath;
 use crate::router_index::Neighbor;
-use crate::server::{ChurnBatchOutcome, ManagementServer};
+use crate::server::ManagementServer;
 use crate::telemetry::{Counter, Histogram, SlowQueryRecord, TelemetryRegistry};
-use crossbeam::channel::{unbounded, Sender};
 use nearpeer_topology::RouterId;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock, RwLock, RwLockReadGuard};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
-/// One write operation bound for a region's write worker.
-enum RegionOp {
-    /// `register_batch_renewing` — the federation's insert/renew path.
-    Absorb {
-        items: Vec<(PeerId, PeerPath)>,
-        reply: mpsc::Sender<ChurnBatchOutcome>,
-    },
-    /// Same-region atomic handover.
-    Handover {
-        peer: PeerId,
-        path: PeerPath,
-        reply: mpsc::Sender<Result<(), CoreError>>,
-    },
-    /// Cross-region teardown: leave a forwarding tombstone.
-    Forward {
-        peer: PeerId,
-        to_region: u32,
-        reply: mpsc::Sender<Result<(), CoreError>>,
-    },
-    Leave {
-        peers: Vec<PeerId>,
-        reply: mpsc::Sender<usize>,
-    },
-    Renew {
-        peers: Vec<PeerId>,
-        reply: mpsc::Sender<usize>,
-    },
-    Advance {
-        reply: mpsc::Sender<u64>,
-    },
-    Expire {
-        max_age: u64,
-        reply: mpsc::Sender<crate::directory::ShardSweep>,
-    },
-}
-
 /// The actorized federation front door: every region behind its own
-/// write mailbox, federated reads answered inline under ordered region
-/// read guards, all operations `&self`.
+/// lock, writes applied under the claims mutex, federated reads answered
+/// under ordered region read guards, all operations `&self`.
 ///
 /// Answers are bit-identical to a [`Federation`] fed the same operations
 /// (same consult order, the same merge and bridge-fill code); super-peers
 /// are rejected at construction exactly like the synchronous front door.
 pub struct ActorFederation {
     routing: Routing,
-    servers: Vec<Arc<RwLock<ManagementServer>>>,
-    /// Front-door membership authority: peer → current region.
+    servers: Vec<RwLock<ManagementServer>>,
+    /// Front-door membership authority: peer → current region. Held for
+    /// the whole of every write (see the module docs for the lock order).
     claims: Mutex<HashMap<PeerId, RegionId>>,
-    write_txs: Vec<Sender<RegionOp>>,
-    workers: Vec<JoinHandle<()>>,
     epoch: AtomicU64,
     handovers: AtomicU64,
     cross_region_handovers: AtomicU64,
@@ -96,15 +72,13 @@ pub struct ActorFederation {
     remote: Arc<Counter>,
     fills: Arc<Counter>,
     query_latency: Arc<Histogram>,
-    /// One merged mailbox view across every region's write worker.
-    write_obs: super::mailbox::MailboxObs,
     telemetry: OnceLock<Arc<TelemetryRegistry>>,
 }
 
 impl ActorFederation {
     /// Builds the actorized federation from the same inputs as
     /// [`Federation::new`] (round-robin landmark partition, derived
-    /// bridge matrix) and spawns each region's write worker.
+    /// bridge matrix).
     pub fn new(
         landmark_routers: Vec<RouterId>,
         landmark_dist: Vec<Vec<u32>>,
@@ -116,41 +90,10 @@ impl ActorFederation {
         let (routing, servers) =
             Federation::new(landmark_routers, landmark_dist, n_regions, config)?
                 .into_runtime_parts();
-        let servers: Vec<Arc<RwLock<ManagementServer>>> = servers
-            .into_iter()
-            .map(|s| Arc::new(RwLock::new(s)))
-            .collect();
-        let write_obs = super::mailbox::MailboxObs {
-            batches: Arc::new(Counter::new()),
-            items: Arc::new(Counter::new()),
-            batch_size: Arc::new(Histogram::new()),
-            queue_depth: Arc::new(crate::telemetry::Gauge::new()),
-        };
-        let mut write_txs = Vec::with_capacity(servers.len());
-        let mut workers = Vec::with_capacity(servers.len());
-        for (r, server) in servers.iter().enumerate() {
-            let (wtx, wrx) = unbounded::<RegionOp>();
-            let wserver = Arc::clone(server);
-            workers.push(super::mailbox::spawn_batch_worker_observed(
-                format!("region-{r}-write"),
-                wrx,
-                super::mailbox::DEFAULT_DRAIN_CAP,
-                Some(write_obs.clone()),
-                move |batch| {
-                    let mut srv = wserver.write().expect("region server poisoned");
-                    for op in batch {
-                        apply_region_op(&mut srv, op);
-                    }
-                },
-            ));
-            write_txs.push(wtx);
-        }
         Ok(Self {
             routing,
-            servers,
+            servers: servers.into_iter().map(RwLock::new).collect(),
             claims: Mutex::new(HashMap::new()),
-            write_txs,
-            workers,
             epoch: AtomicU64::new(0),
             handovers: AtomicU64::new(0),
             cross_region_handovers: AtomicU64::new(0),
@@ -158,7 +101,6 @@ impl ActorFederation {
             remote: Arc::new(Counter::new()),
             fills: Arc::new(Counter::new()),
             query_latency: Arc::new(Histogram::new()),
-            write_obs,
             telemetry: OnceLock::new(),
         })
     }
@@ -175,7 +117,7 @@ impl ActorFederation {
 
     /// Registered peers across all regions.
     pub fn peer_count(&self) -> usize {
-        self.claims.lock().expect("claims poisoned").len()
+        self.claims().len()
     }
 
     /// The federation-wide heartbeat epoch.
@@ -185,11 +127,7 @@ impl ActorFederation {
 
     /// The region a peer is currently registered in, if any.
     pub fn region_of_peer(&self, peer: PeerId) -> Option<RegionId> {
-        self.claims
-            .lock()
-            .expect("claims poisoned")
-            .get(&peer)
-            .copied()
+        self.claims().get(&peer).copied()
     }
 
     /// Aggregate federation counters.
@@ -203,10 +141,9 @@ impl ActorFederation {
         }
     }
 
-    /// Adopts the federation's counters, query-latency histogram and
-    /// mailbox views into `reg`, and arms query timing. Idempotent in
-    /// the sense that only the first registry sticks; every region
-    /// server also binds its own shard counters under a region label.
+    /// Adopts the federation's counters and query-latency histogram into
+    /// `reg`, and arms query timing. Idempotent in the sense that only
+    /// the first registry sticks.
     pub fn bind_telemetry(&self, reg: Arc<TelemetryRegistry>) {
         reg.adopt_counter("fed_queries_total", "", Arc::clone(&self.queries));
         reg.adopt_counter(
@@ -216,11 +153,6 @@ impl ActorFederation {
         );
         reg.adopt_counter("fed_cross_region_fills_total", "", Arc::clone(&self.fills));
         reg.adopt_histogram("fed_query_latency_us", "", Arc::clone(&self.query_latency));
-        let (obs, label) = (&self.write_obs, "mailbox=\"region-write\"");
-        reg.adopt_counter("mailbox_batches_total", label, Arc::clone(&obs.batches));
-        reg.adopt_counter("mailbox_items_total", label, Arc::clone(&obs.items));
-        reg.adopt_histogram("mailbox_batch_size", label, Arc::clone(&obs.batch_size));
-        reg.adopt_gauge("mailbox_queue_depth", label, Arc::clone(&obs.queue_depth));
         let _ = self.telemetry.set(reg);
     }
 
@@ -240,10 +172,10 @@ impl ActorFederation {
     /// Advances every region's epoch in lockstep — the actorized
     /// [`Federation::advance_epoch`].
     pub fn advance_epoch(&self) -> u64 {
+        let _claims = self.claims();
         let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        let rxs = self.broadcast(|reply| RegionOp::Advance { reply });
-        for rx in rxs {
-            let e = rx.recv().expect("region worker alive");
+        for r in 0..self.servers.len() {
+            let e = self.write_region(RegionId(r as u32)).advance_epoch();
             debug_assert_eq!(e, epoch, "regions advance in lockstep");
         }
         epoch
@@ -254,23 +186,17 @@ impl ActorFederation {
     pub fn register(&self, peer: PeerId, path: PeerPath) -> Result<FederatedJoin, CoreError> {
         let (region, global) = self.routing.home_of_path(&path)?;
         let query_path = path.clone();
-        let (tx, rx) = mpsc::channel();
         {
-            let mut claims = self.claims.lock().expect("claims poisoned");
+            let mut claims = self.claims();
             if claims.contains_key(&peer) {
                 return Err(CoreError::DuplicatePeer(peer));
             }
             claims.insert(peer, region);
-            self.send_write(
-                region,
-                RegionOp::Absorb {
-                    items: vec![(peer, path)],
-                    reply: tx,
-                },
-            );
+            let out = self
+                .write_region(region)
+                .register_batch_renewing(vec![(peer, path)]);
+            debug_assert_eq!(out.joined, 1, "validated fresh insert");
         }
-        let out = rx.recv().expect("region worker alive");
-        debug_assert_eq!(out.joined, 1, "validated fresh insert");
         let neighbors = self.closest_to_path(&query_path, self.routing.neighbor_count, Some(peer));
         Ok(FederatedJoin {
             region,
@@ -280,65 +206,30 @@ impl ActorFederation {
     }
 
     /// Mobility handover — the actorized [`Federation::handover`]. The
-    /// new path is validated first; a cross-region move enqueues the
+    /// new path is validated first; a cross-region move applies the
     /// forwarding teardown and the destination insert under one
-    /// claims-lock critical section.
+    /// claims-mutex critical section, one region write guard at a time.
     pub fn handover(&self, peer: PeerId, new_path: PeerPath) -> Result<FederatedJoin, CoreError> {
         let (dest, global) = self.routing.home_of_path(&new_path)?;
         let query_path = new_path.clone();
-        enum Pending {
-            Same(mpsc::Receiver<Result<(), CoreError>>),
-            Cross(
-                mpsc::Receiver<Result<(), CoreError>>,
-                mpsc::Receiver<ChurnBatchOutcome>,
-            ),
-        }
-        let pending = {
-            let mut claims = self.claims.lock().expect("claims poisoned");
+        {
+            let mut claims = self.claims();
             let Some(&from) = claims.get(&peer) else {
                 return Err(CoreError::UnknownPeer(peer));
             };
             if from == dest {
-                let (tx, rx) = mpsc::channel();
-                self.send_write(
-                    dest,
-                    RegionOp::Handover {
-                        peer,
-                        path: new_path,
-                        reply: tx,
-                    },
-                );
-                Pending::Same(rx)
+                self.write_region(dest).handover(peer, new_path)?;
             } else {
-                claims.insert(peer, dest);
-                let (ftx, frx) = mpsc::channel();
-                let (atx, arx) = mpsc::channel();
-                self.send_write(
-                    from,
-                    RegionOp::Forward {
-                        peer,
-                        to_region: dest.0,
-                        reply: ftx,
-                    },
-                );
-                self.send_write(
-                    dest,
-                    RegionOp::Absorb {
-                        items: vec![(peer, new_path)],
-                        reply: atx,
-                    },
-                );
-                Pending::Cross(frx, arx)
-            }
-        };
-        match pending {
-            Pending::Same(rx) => rx.recv().expect("region worker alive")?,
-            Pending::Cross(frx, arx) => {
-                frx.recv()
-                    .expect("region worker alive")
+                // Each statement drops its guard: `from`'s is released
+                // before `dest`'s is taken (the module's lock order).
+                self.write_region(from)
+                    .deregister_forwarding(peer, dest.0)
                     .expect("claims and regions agree");
-                let out = arx.recv().expect("region worker alive");
+                let out = self
+                    .write_region(dest)
+                    .register_batch_renewing(vec![(peer, new_path)]);
                 debug_assert_eq!(out.joined, 1, "peer was only live in `from`");
+                claims.insert(peer, dest);
                 self.cross_region_handovers.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -355,87 +246,44 @@ impl ActorFederation {
     /// Peers partition by their claimed region (unknown ids are skipped
     /// without touching any region); returns the number removed.
     pub fn leave_batch(&self, peers: &[PeerId]) -> usize {
-        let mut per_region: Vec<Vec<PeerId>> = vec![Vec::new(); self.servers.len()];
-        let mut rxs = Vec::new();
-        {
-            let mut claims = self.claims.lock().expect("claims poisoned");
-            for &peer in peers {
-                if let Some(region) = claims.remove(&peer) {
-                    per_region[region.index()].push(peer);
-                }
-            }
-            for (r, batch) in per_region.into_iter().enumerate() {
-                if batch.is_empty() {
-                    continue;
-                }
-                let (tx, rx) = mpsc::channel();
-                self.send_write(
-                    RegionId(r as u32),
-                    RegionOp::Leave {
-                        peers: batch,
-                        reply: tx,
-                    },
-                );
-                rxs.push(rx);
-            }
-        }
-        rxs.into_iter()
-            .map(|rx| rx.recv().expect("region worker alive"))
-            .sum()
+        let mut claims = self.claims();
+        self.apply_by_region(
+            peers,
+            |peer| claims.remove(&peer),
+            ManagementServer::leave_batch,
+        )
     }
 
     /// Batched heartbeat renewal — the actorized
     /// [`Federation::renew_batch`]; returns the number renewed.
     pub fn renew_batch(&self, peers: &[PeerId]) -> usize {
-        let mut per_region: Vec<Vec<PeerId>> = vec![Vec::new(); self.servers.len()];
-        let mut rxs = Vec::new();
-        {
-            let claims = self.claims.lock().expect("claims poisoned");
-            for &peer in peers {
-                if let Some(&region) = claims.get(&peer) {
-                    per_region[region.index()].push(peer);
-                }
-            }
-            for (r, batch) in per_region.into_iter().enumerate() {
-                if batch.is_empty() {
-                    continue;
-                }
-                let (tx, rx) = mpsc::channel();
-                self.send_write(
-                    RegionId(r as u32),
-                    RegionOp::Renew {
-                        peers: batch,
-                        reply: tx,
-                    },
-                );
-                rxs.push(rx);
-            }
-        }
-        rxs.into_iter()
-            .map(|rx| rx.recv().expect("region worker alive"))
-            .sum()
+        let claims = self.claims();
+        self.apply_by_region(
+            peers,
+            |peer| claims.get(&peer).copied(),
+            ManagementServer::renew_batch,
+        )
     }
 
     /// Federated lease expiry — the actorized
-    /// [`Federation::expire_stale`]. All regions sweep concurrently.
+    /// [`Federation::expire_stale`]. Regions sweep one after another
+    /// under one claims-mutex critical section, so expired peers lose
+    /// their claims atomically with the sweep that retired them.
     pub fn expire_stale(&self, max_age: u64) -> FederationSweep {
-        let rxs = self.broadcast(|reply| RegionOp::Expire { max_age, reply });
+        let mut claims = self.claims();
         let mut out = FederationSweep::default();
-        let mut gone: Vec<PeerId> = Vec::new();
-        for (r, rx) in rxs.into_iter().enumerate() {
+        for r in 0..self.servers.len() {
             let id = RegionId(r as u32);
-            let sweep = rx.recv().expect("region worker alive");
-            gone.extend(sweep.expired.iter().copied());
+            let sweep = self.write_region(id).expire_stale_full(max_age);
+            for peer in &sweep.expired {
+                claims.remove(peer);
+            }
             out.expired
                 .extend(sweep.expired.into_iter().map(|p| (id, p)));
             // Tombstones retired here belong to peers now living in their
             // destination region — their claims stay.
             out.moved_swept
                 .extend(sweep.moved.into_iter().map(|(p, _)| (id, p)));
-        }
-        let mut claims = self.claims.lock().expect("claims poisoned");
-        for p in gone {
-            claims.remove(&p);
         }
         out
     }
@@ -501,8 +349,8 @@ impl ActorFederation {
     /// Read guards on `regions`, indexed by [`RegionId`] (`None` for the
     /// rest), **acquired in ascending region order** whatever order
     /// `regions` lists them in — the lock order that keeps concurrent
-    /// multi-region readers from deadlocking behind queued write workers
-    /// (see the module docs).
+    /// multi-region readers from deadlocking behind queued writers (see
+    /// the module docs).
     fn read_regions(
         &self,
         regions: &[RegionId],
@@ -518,33 +366,39 @@ impl ActorFederation {
             .collect()
     }
 
-    fn send_write(&self, region: RegionId, op: RegionOp) {
-        self.write_txs[region.index()]
-            .send(op)
-            .expect("region worker outlives the front door");
+    fn claims(&self) -> MutexGuard<'_, HashMap<PeerId, RegionId>> {
+        self.claims.lock().expect("claims poisoned")
     }
 
-    /// Enqueues one op (built by `make`) in every region's write mailbox
-    /// under the claims lock, returning the reply receivers in region
-    /// order.
-    fn broadcast<T>(&self, make: impl Fn(mpsc::Sender<T>) -> RegionOp) -> Vec<mpsc::Receiver<T>> {
-        let mut rxs = Vec::with_capacity(self.write_txs.len());
-        let _claims = self.claims.lock().expect("claims poisoned");
-        for r in 0..self.write_txs.len() {
-            let (tx, rx) = mpsc::channel();
-            self.send_write(RegionId(r as u32), make(tx));
-            rxs.push(rx);
-        }
-        rxs
+    /// One region's write guard. Callers hold the claims mutex and at
+    /// most this one guard (see the module docs).
+    fn write_region(&self, region: RegionId) -> RwLockWriteGuard<'_, ManagementServer> {
+        self.servers[region.index()]
+            .write()
+            .expect("region server poisoned")
     }
-}
 
-impl Drop for ActorFederation {
-    fn drop(&mut self) {
-        self.write_txs.clear();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
+    /// Applies `op` to each region's share of `peers` — the peers
+    /// `region_of` places there (`None` skips a peer) — one write guard
+    /// at a time, summing the results. Callers hold the claims mutex.
+    fn apply_by_region(
+        &self,
+        peers: &[PeerId],
+        mut region_of: impl FnMut(PeerId) -> Option<RegionId>,
+        op: impl Fn(&mut ManagementServer, &[PeerId]) -> usize,
+    ) -> usize {
+        let mut per_region = vec![Vec::new(); self.servers.len()];
+        for &peer in peers {
+            if let Some(region) = region_of(peer) {
+                per_region[region.index()].push(peer);
+            }
         }
+        per_region
+            .iter()
+            .enumerate()
+            .filter(|(_, batch)| !batch.is_empty())
+            .map(|(r, batch)| op(&mut self.write_region(RegionId(r as u32)), batch))
+            .sum()
     }
 }
 
@@ -558,39 +412,10 @@ impl std::fmt::Debug for ActorFederation {
     }
 }
 
-fn apply_region_op(srv: &mut ManagementServer, op: RegionOp) {
-    match op {
-        RegionOp::Absorb { items, reply } => {
-            let _ = reply.send(srv.register_batch_renewing(items));
-        }
-        RegionOp::Handover { peer, path, reply } => {
-            let _ = reply.send(srv.handover(peer, path).map(|_| ()));
-        }
-        RegionOp::Forward {
-            peer,
-            to_region,
-            reply,
-        } => {
-            let _ = reply.send(srv.deregister_forwarding(peer, to_region));
-        }
-        RegionOp::Leave { peers, reply } => {
-            let _ = reply.send(srv.leave_batch(&peers));
-        }
-        RegionOp::Renew { peers, reply } => {
-            let _ = reply.send(srv.renew_batch(&peers));
-        }
-        RegionOp::Advance { reply } => {
-            let _ = reply.send(srv.advance_epoch());
-        }
-        RegionOp::Expire { max_age, reply } => {
-            let _ = reply.send(srv.expire_stale_full(max_age));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
     use std::time::Duration;
 
     fn path(ids: &[u32]) -> PeerPath {
@@ -641,7 +466,7 @@ mod tests {
     }
 
     #[test]
-    fn cross_region_handover_through_mailboxes() {
+    fn cross_region_handover_leaves_a_forwarding_tombstone() {
         let f = fed(2);
         f.register(PeerId(1), path(&[4, 2, 1, 0])).unwrap();
         f.register(PeerId(2), path(&[110, 105, 100])).unwrap();
@@ -689,14 +514,62 @@ mod tests {
     }
 
     #[test]
+    fn racing_writes_keep_claims_and_regions_in_agreement() {
+        // Four writers race joins, moves and departures of the same 8
+        // peers across 4 regions. Each write decides membership and
+        // applies it under one claims critical section, so at rest the
+        // claims table and the regions must tell the same story.
+        let f = fed(4);
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let f = &f;
+                scope.spawn(move || {
+                    let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ (t + 1);
+                    for _ in 0..20_000 {
+                        // xorshift64: a fixed, per-thread op stream.
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        let id = x % 8;
+                        let lm = ((x >> 8) % 4) as u32 * 100;
+                        let p = path(&[1000 + id as u32, lm + 1, lm]);
+                        match (x >> 16) % 3 {
+                            0 => drop(f.register(PeerId(id), p)),
+                            1 => drop(f.handover(PeerId(id), p)),
+                            _ => drop(f.leave_batch(&[PeerId(id)])),
+                        }
+                    }
+                });
+            }
+        });
+        let claims = f.claims.lock().unwrap().clone();
+        let live: usize = f
+            .servers
+            .iter()
+            .map(|s| s.read().unwrap().peer_count())
+            .sum();
+        assert_eq!(live, claims.len(), "regions hold exactly the claimed peers");
+        for id in 0..8u64 {
+            let peer = PeerId(id);
+            let holding: Vec<RegionId> = (0..f.n_regions())
+                .filter(|&r| f.servers[r].read().unwrap().path_of(peer).is_some())
+                .map(|r| RegionId(r as u32))
+                .collect();
+            let claimed: Vec<RegionId> = claims.get(&peer).copied().into_iter().collect();
+            assert_eq!(holding, claimed, "peer {id} lives where its claim says");
+        }
+    }
+
+    #[test]
     fn lock_order_survives_concurrent_queries_and_writes() {
         // Queries homed in every region hold read guards on all four
-        // regions while cross-region handovers, departures, epochs and
-        // sweeps keep each region's write worker queueing on its lock.
-        // Acquired home-first, two such queries deadlock behind the queued
-        // writers (std's RwLock parks new readers once a writer waits);
-        // the ascending order cannot. The watchdog turns a hang into a
-        // failure instead of a stuck test run.
+        // regions while a writer thread's cross-region handovers,
+        // departures, epochs and sweeps queue for one region's write
+        // guard at a time under the claims mutex. A writer holding one
+        // region's guard while it takes another's would deadlock against
+        // these readers (std's RwLock parks new readers once a writer
+        // waits); one guard at a time cannot. The watchdog turns a hang
+        // into a failure instead of a stuck test run.
         const BUDGET: Duration = Duration::from_secs(60);
         let f = Arc::new(fed(4));
         let homed = |id: u64, region: u64| {
@@ -726,8 +599,8 @@ mod tests {
                 scope.spawn(move || {
                     for round in 0..300u64 {
                         let id = round % 64;
-                        // Cross-region move: teardown in one region's
-                        // mailbox, insert in another's.
+                        // Cross-region move: teardown in one region,
+                        // insert in another.
                         f.handover(PeerId(id), homed(id, (id + round + 1) % 4))
                             .unwrap();
                         if round % 5 == 0 {
@@ -746,7 +619,7 @@ mod tests {
             let _ = done_tx.send(());
         });
         if let Err(mpsc::RecvTimeoutError::Timeout) = done_rx.recv_timeout(BUDGET) {
-            panic!("federated reads deadlocked behind the region write workers");
+            panic!("federated reads deadlocked behind the region writers");
         }
         stress.join().expect("stress threads ran clean");
         // Every join, query and handover answered: 64 + 60 registrations,

@@ -33,7 +33,7 @@ use crate::subscription::{
     DeltaClass, NeighborDelta, Subscription, SubscriptionHost, SubscriptionRegistry,
     SubscriptionStats,
 };
-use crate::telemetry::{Counter, Gauge, Histogram, SlowQueryRecord, TelemetryRegistry};
+use crate::telemetry::{Counter, Histogram, SlowQueryRecord, TelemetryRegistry};
 use crossbeam::channel::{unbounded, Sender};
 use nearpeer_topology::RouterId;
 use std::collections::{HashMap, HashSet};
@@ -179,12 +179,7 @@ impl ActorServer {
             queries: Arc::new(Counter::new()),
             fills: Arc::new(Counter::new()),
             query_latency: Arc::new(Histogram::new()),
-            mailbox_obs: super::mailbox::MailboxObs {
-                batches: Arc::new(Counter::new()),
-                items: Arc::new(Counter::new()),
-                batch_size: Arc::new(Histogram::new()),
-                queue_depth: Arc::new(Gauge::new()),
-            },
+            mailbox_obs: super::mailbox::MailboxObs::default(),
             telemetry: OnceLock::new(),
         });
         let mut write_txs = Vec::with_capacity(shared.shards.len());
@@ -192,11 +187,11 @@ impl ActorServer {
         for i in 0..shared.shards.len() {
             let (tx, rx) = unbounded::<ShardOp>();
             let shard_shared = Arc::clone(&shared);
-            workers.push(super::mailbox::spawn_batch_worker_observed(
+            workers.push(super::mailbox::spawn_batch_worker(
                 format!("shard-{i}"),
                 rx,
                 super::mailbox::DEFAULT_DRAIN_CAP,
-                Some(shared.mailbox_obs.clone()),
+                shared.mailbox_obs.clone(),
                 move |batch| {
                     let mut shard = shard_shared.shards[i].write().expect("shard poisoned");
                     for op in batch {
@@ -394,21 +389,21 @@ impl ActorServer {
             }
         }
         let mut expired = Vec::new();
-        let mut moved = Vec::new();
         for rx in rxs {
             let sweep = rx.recv().expect("shard worker alive");
+            // Moves tear down with `remove_moved`, never a forwarding
+            // tombstone, so no sweep here retires one.
+            debug_assert!(sweep.moved.is_empty(), "no forwarding tombstones");
             expired.extend(sweep.expired);
-            moved.extend(sweep.moved.into_iter().map(|(p, _)| p));
         }
         {
             let mut claims = self.claims.lock().expect("claims poisoned");
-            for p in expired.iter().chain(moved.iter()) {
+            for p in &expired {
                 claims.remove(p);
             }
         }
-        if !(expired.is_empty() && moved.is_empty()) {
-            let gone: Vec<PeerId> = expired.iter().chain(moved.iter()).copied().collect();
-            self.notify_subs(DeltaClass::Expiry, &[], &gone);
+        if !expired.is_empty() {
+            self.notify_subs(DeltaClass::Expiry, &[], &expired);
         }
         expired.sort_unstable();
         expired

@@ -26,9 +26,8 @@ use std::thread::{Builder, JoinHandle};
 pub(crate) const DEFAULT_DRAIN_CAP: usize = 1024;
 
 /// Telemetry handles for one mailbox worker, shared with the registry
-/// that adopted them. All optional at the spawn site: an unobserved
-/// worker costs nothing extra.
-#[derive(Clone)]
+/// that adopted them.
+#[derive(Clone, Default)]
 pub(crate) struct MailboxObs {
     /// Batches applied.
     pub batches: Arc<Counter>,
@@ -43,29 +42,13 @@ pub(crate) struct MailboxObs {
 /// Spawns a named worker thread that feeds `apply` with batches drained
 /// from `rx`, at most `cap` items per batch. Every batch is non-empty;
 /// leftovers beyond the cap stay queued and wake the worker again without
-/// parking. The thread exits when the channel disconnects (all senders
-/// dropped).
-#[cfg(test)]
+/// parking. Batch count/size and post-drain queue depth land in `obs`.
+/// The thread exits when the channel disconnects (all senders dropped).
 pub(crate) fn spawn_batch_worker<T, F>(
     name: String,
     rx: Receiver<T>,
     cap: usize,
-    apply: F,
-) -> JoinHandle<()>
-where
-    T: Send + 'static,
-    F: FnMut(Vec<T>) + Send + 'static,
-{
-    spawn_batch_worker_observed(name, rx, cap, None, apply)
-}
-
-/// [`spawn_batch_worker`] with optional telemetry: batch count/size and
-/// post-drain queue depth land in the given handles.
-pub(crate) fn spawn_batch_worker_observed<T, F>(
-    name: String,
-    rx: Receiver<T>,
-    cap: usize,
-    obs: Option<MailboxObs>,
+    obs: MailboxObs,
     mut apply: F,
 ) -> JoinHandle<()>
 where
@@ -85,12 +68,10 @@ where
                         Err(_) => break,
                     }
                 }
-                if let Some(obs) = &obs {
-                    obs.batches.inc();
-                    obs.items.add(batch.len() as u64);
-                    obs.batch_size.record(batch.len() as u64);
-                    obs.queue_depth.set(rx.len() as u64);
-                }
+                obs.batches.inc();
+                obs.items.add(batch.len() as u64);
+                obs.batch_size.record(batch.len() as u64);
+                obs.queue_depth.set(rx.len() as u64);
                 apply(std::mem::take(&mut batch));
             }
         })
@@ -110,11 +91,17 @@ mod tests {
         let batches = Arc::new(AtomicUsize::new(0));
         let handle = {
             let (sum, batches) = (Arc::clone(&sum), Arc::clone(&batches));
-            spawn_batch_worker("test-worker".into(), rx, DEFAULT_DRAIN_CAP, move |batch| {
-                assert!(!batch.is_empty());
-                batches.fetch_add(1, Ordering::Relaxed);
-                sum.fetch_add(batch.iter().sum::<u64>() as usize, Ordering::Relaxed);
-            })
+            spawn_batch_worker(
+                "test-worker".into(),
+                rx,
+                DEFAULT_DRAIN_CAP,
+                MailboxObs::default(),
+                move |batch| {
+                    assert!(!batch.is_empty());
+                    batches.fetch_add(1, Ordering::Relaxed);
+                    sum.fetch_add(batch.iter().sum::<u64>() as usize, Ordering::Relaxed);
+                },
+            )
         };
         for i in 1..=100u64 {
             tx.send(i).unwrap();
@@ -138,11 +125,17 @@ mod tests {
         let max_batch = Arc::new(AtomicUsize::new(0));
         let handle = {
             let (sum, max_batch) = (Arc::clone(&sum), Arc::clone(&max_batch));
-            spawn_batch_worker("capped-worker".into(), rx, 8, move |batch| {
-                assert!(!batch.is_empty());
-                max_batch.fetch_max(batch.len(), Ordering::Relaxed);
-                sum.fetch_add(batch.iter().sum::<u64>() as usize, Ordering::Relaxed);
-            })
+            spawn_batch_worker(
+                "capped-worker".into(),
+                rx,
+                8,
+                MailboxObs::default(),
+                move |batch| {
+                    assert!(!batch.is_empty());
+                    max_batch.fetch_max(batch.len(), Ordering::Relaxed);
+                    sum.fetch_add(batch.iter().sum::<u64>() as usize, Ordering::Relaxed);
+                },
+            )
         };
         drop(tx);
         handle.join().unwrap();
@@ -154,19 +147,8 @@ mod tests {
     #[test]
     fn observed_worker_conserves_item_count() {
         let (tx, rx) = crossbeam::channel::unbounded::<u64>();
-        let obs = MailboxObs {
-            batches: Arc::new(Counter::new()),
-            items: Arc::new(Counter::new()),
-            batch_size: Arc::new(Histogram::new()),
-            queue_depth: Arc::new(Gauge::new()),
-        };
-        let handle = spawn_batch_worker_observed(
-            "observed-worker".into(),
-            rx,
-            8,
-            Some(obs.clone()),
-            |_batch| {},
-        );
+        let obs = MailboxObs::default();
+        let handle = spawn_batch_worker("observed-worker".into(), rx, 8, obs.clone(), |_batch| {});
         for i in 0..100u64 {
             tx.send(i).unwrap();
         }

@@ -1,21 +1,23 @@
-//! The actorized serving plane: mailbox workers behind every shard and
-//! region, and the wire-facing service trait `nearpeerd` serves.
+//! The actorized serving plane: mailbox workers behind every shard, a
+//! lock per region, and the wire-facing service trait `nearpeerd` serves.
 //!
 //! The synchronous data plane ([`crate::ManagementServer`],
 //! [`crate::Federation`]) reads concurrently but writes through
 //! `&mut self` — one writer at a time across the whole directory. This
 //! module is the other half:
 //!
-//! * [`mailbox`] — the generic batch-draining worker thread every actor
-//!   is built from;
+//! * [`mailbox`] — the generic batch-draining worker thread behind every
+//!   shard of [`ActorServer`] (and the durability writer);
 //! * [`ActorServer`] — one write mailbox per [`crate::DirectoryShard`];
 //!   reads take shard read guards and run the shared merge plans in
 //!   [`crate::directory::query`], so answers are bit-identical to the
 //!   facade's by construction;
-//! * [`ActorFederation`] — one write mailbox per region; the federated
-//!   query (home region first, then the fan-out) answers on the caller's
-//!   thread under region read guards taken in ascending region order,
-//!   running the same merge and bridge fill as [`crate::Federation`];
+//! * [`ActorFederation`] — no worker threads: writes apply on the
+//!   caller's thread under the claims mutex, one region write guard at a
+//!   time; the federated query (home region first, then the fan-out)
+//!   answers on the caller's thread under region read guards taken in
+//!   ascending region order, running the same merge and bridge fill as
+//!   [`crate::Federation`];
 //! * [`WireService`] — the one-method trait both actors implement, and
 //!   the only thing the `nearpeerd` TCP server needs to know about.
 //!
